@@ -118,10 +118,14 @@ class Circuit:
         )
 
     @classmethod
-    def from_json(cls, text_or_path: str | Path) -> "Circuit":
-        p = Path(text_or_path)
-        text = p.read_text() if p.exists() else str(text_or_path)
+    def from_json(cls, text: str) -> "Circuit":
+        """Parse the text that `to_json` returns."""
         return cls.from_json_dict(json.loads(text))
+
+    @classmethod
+    def from_json_file(cls, path: str | Path) -> "Circuit":
+        """Read a circuit written by `to_json(path)`."""
+        return cls.from_json(Path(path).read_text())
 
 
 def x_label(j: int) -> str:

@@ -22,7 +22,7 @@ from . import __version__
 from .circuits import build_simon_circuit
 from .gf2 import BitVec
 from .lsn import LsnParams, estimate_tau, model_distribution, sample_many
-from .multiset import MeasurementMultiset
+from .multiset import MeasurementMultiset, merge_all
 from .noise import NoiseParams, default_noise, sample_noisy
 from .reductions import (
     LpnSample,
@@ -184,14 +184,10 @@ def _smoothed(args, graph, noise, technique: str) -> MeasurementMultiset:
     if technique == "permutation/double-flip":
         rng = np.random.default_rng([base_seed, 1])
         cfgs = permutation_configurations(f, graph, args.configs, rng, base=cfg)
-        parts = [
+        return merge_all([
             double_flip(f, graph, c, noise, args.shots, seed=base_seed + 91 * k)
             for k, c in enumerate(cfgs)
-        ]
-        merged = parts[0]
-        for p in parts[1:]:
-            merged = merged.merge(p)
-        return merged
+        ])
     raise ValueError(f"unknown technique {technique!r}")
 
 
@@ -422,8 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command; bad input ends in a one-line error and exit status 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"noisysimon: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

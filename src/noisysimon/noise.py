@@ -16,6 +16,13 @@ circuit as a Pauli, and only its X component can change measured outcomes.
 Each shot therefore samples the noiseless outcome distribution XOR-shifted by
 the propagated fault mask, which the sampler exploits instead of re-running
 the statevector per trajectory.
+
+The masks are accumulated in batch, as in a Pauli-frame simulator (Gidney,
+arXiv:2103.02202): a (gate, wire, Pauli) -> mask table is built once per
+circuit, and all fault events of a source are looked up in it and XORed into
+their shots with one `np.bitwise_xor.at`. The random draws keep fixed shapes
+and a fixed order, and XOR accumulation is order-free, so a seed's outcomes
+do not depend on how the masks are accumulated.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import importlib.resources
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -71,16 +78,25 @@ class NoiseParams:
         )
 
     @classmethod
+    def from_dict(cls, d: dict) -> "NoiseParams":
+        """Parameters from their JSON form; absent rates are 0 and eps2
+        defaults to ten times eps1."""
+        try:
+            eps1 = d.get("eps1", 0.0)
+            return cls(
+                eps1=eps1,
+                eps2=d.get("eps2", 10.0 * eps1),
+                crosstalk=d.get("crosstalk", 0.0),
+                readout=tuple((p01, p10) for p01, p10 in d.get("readout", [])),
+                default_p01=d.get("default_p01", 0.0),
+                default_p10=d.get("default_p10", 0.0),
+            )
+        except (AttributeError, TypeError) as exc:
+            raise ValueError(f"malformed noise parameters: {exc}") from exc
+
+    @classmethod
     def from_json(cls, path: str | Path) -> "NoiseParams":
-        d = json.loads(Path(path).read_text())
-        return cls(
-            eps1=d.get("eps1", 0.0),
-            eps2=d.get("eps2", 10.0 * d.get("eps1", 0.0)),
-            crosstalk=d.get("crosstalk", 0.0),
-            readout=tuple((q[0], q[1]) for q in d.get("readout", [])),
-            default_p01=d.get("default_p01", 0.0),
-            default_p10=d.get("default_p10", 0.0),
-        )
+        return cls.from_dict(json.loads(Path(path).read_text()))
 
     def readout_for(self, label) -> Tuple[float, float]:
         if isinstance(label, int) and 0 <= label < len(self.readout):
@@ -91,33 +107,20 @@ class NoiseParams:
 def default_noise() -> NoiseParams:
     """Calibration shipped with the package (see data/default_noise.json)."""
     ref = importlib.resources.files("noisysimon.data") / "default_noise.json"
-    d = json.loads(ref.read_text())
-    return NoiseParams(
-        eps1=d["eps1"],
-        eps2=d["eps2"],
-        crosstalk=d["crosstalk"],
-        readout=tuple((q[0], q[1]) for q in d["readout"]),
-        default_p01=d["default_p01"],
-        default_p10=d["default_p10"],
-    )
+    return NoiseParams.from_dict(json.loads(ref.read_text()))
 
 
-def _fault_masks(circuit: Circuit) -> Tuple[List[List[int]], List[List[int]]]:
-    """Propagated X-masks for Paulis injected after each gate.
-
-    fx[g][w] is the end-of-circuit X-mask (bit per wire) of an X injected on
-    wire w right after gate g; fzx[g][w] the same for an injected Z. A Y
-    behaves as X.Z, i.e. fx^fzx. Z components only produce phases, which
-    cannot change measured outcomes.
-    """
+def _fault_masks(circuit: Circuit) -> np.ndarray:
+    """table[g, w, p]: end-of-circuit X-mask (bit per wire) of Pauli p injected
+    on wire w right after gate g. A Y behaves as X.Z, so its mask is the XOR of
+    theirs; Z components only produce phases, which cannot change outcomes."""
     width = circuit.width
+    table = np.zeros((len(circuit.gates), width, 4), dtype=np.int64)
     fx = [1 << w for w in range(width)]
     fzx = [0] * width
-    fx_slots: List[List[int]] = []
-    fzx_slots: List[List[int]] = []
-    for g in reversed(circuit.gates):
-        fx_slots.append(list(fx))
-        fzx_slots.append(list(fzx))
+    for gi, g in reversed(list(enumerate(circuit.gates))):
+        table[gi, :, PAULI_X] = fx
+        table[gi, :, PAULI_Z] = fzx
         if g.kind == H:
             fx[g.target], fzx[g.target] = fzx[g.target], fx[g.target]
         elif g.kind == CNOT:
@@ -125,19 +128,8 @@ def _fault_masks(circuit: Circuit) -> Tuple[List[List[int]], List[List[int]]]:
             fx[c] ^= fx[t]
             fzx[t] ^= fzx[c]
         # X gates commute with fault propagation up to phase
-    fx_slots.reverse()
-    fzx_slots.reverse()
-    return fx_slots, fzx_slots
-
-
-def _mask_for(code: int, fx: int, fzx: int) -> int:
-    if code == PAULI_X:
-        return fx
-    if code == PAULI_Z:
-        return fzx
-    if code == PAULI_Y:
-        return fx ^ fzx
-    return 0
+    table[:, :, PAULI_Y] = table[:, :, PAULI_X] ^ table[:, :, PAULI_Z]
+    return table
 
 
 def _sample_chunk(
@@ -151,48 +143,39 @@ def _sample_chunk(
     cdf = np.cumsum(base)
     cdf[-1] = 1.0
 
-    # Per-shot fault masks over all wires.
+    # Per-shot fault masks over the outcome bits (bit k is wire measured[k]).
     masks = np.zeros(shots, dtype=np.int64)
     if gates and (noise.eps1 > 0 or noise.eps2 > 0 or noise.crosstalk > 0):
-        fx_slots, fzx_slots = _fault_masks(circuit)
+        wire_table = _fault_masks(circuit)
+        table = np.zeros_like(wire_table)
+        for k, q in enumerate(measured):
+            table |= ((wire_table >> q) & 1) << k
         err = np.array([noise.eps2 if g.arity == 2 else noise.eps1 for g in gates])
         hit = rng.random((shots, len(gates))) < err
-        shot_idx, gate_idx = np.nonzero(hit)
+        shot_idx, gate_idx = np.divmod(np.flatnonzero(hit), len(gates))
         if shot_idx.size:
             codes = rng.integers(0, 4, size=(shot_idx.size, 2))
-            for k in range(shot_idx.size):
-                s, gi = int(shot_idx[k]), int(gate_idx[k])
-                g = gates[gi]
-                m = _mask_for(int(codes[k, 0]), fx_slots[gi][g.target], fzx_slots[gi][g.target])
-                if g.arity == 2:
-                    m ^= _mask_for(
-                        int(codes[k, 1]), fx_slots[gi][g.control], fzx_slots[gi][g.control]
-                    )
-                masks[s] ^= m
+            # qubits[0] is a CNOT's control; for a one-qubit gate it is the
+            # target again, and the second Pauli is set to PAULI_I
+            target, control, arity = np.array([(g.target, g.qubits[0], g.arity) for g in gates]).T
+            codes[:, 1] *= arity[gate_idx] == 2
+            m = table[gate_idx, target[gate_idx], codes[:, 0]]
+            m ^= table[gate_idx, control[gate_idx], codes[:, 1]]
+            np.bitwise_xor.at(masks, shot_idx, m)
         if noise.crosstalk > 0:
             for gi, g in enumerate(gates):
                 if g.arity != 2:
                     continue
-                others = [w for w in range(width) if w not in g.qubits]
-                if not others:
-                    continue
-                hit_ct = rng.random((shots, len(others))) < noise.crosstalk
-                s_idx, w_idx = np.nonzero(hit_ct)
+                others = np.array([w for w in range(width) if w not in g.qubits], dtype=np.intp)
+                hit_ct = rng.random((shots, others.size)) < noise.crosstalk
+                s_idx, w_idx = np.divmod(np.flatnonzero(hit_ct), others.size)
                 if not s_idx.size:
                     continue
                 ct_codes = rng.integers(0, 4, size=s_idx.size)
-                for k in range(s_idx.size):
-                    w = others[int(w_idx[k])]
-                    m = _mask_for(int(ct_codes[k]), fx_slots[gi][w], fzx_slots[gi][w])
-                    masks[int(s_idx[k])] ^= m
-
-    # Restrict wire masks to outcome bits (bit k of an outcome is wire measured[k]).
-    out_masks = np.zeros(shots, dtype=np.int64)
-    for k, q in enumerate(measured):
-        out_masks |= ((masks >> q) & 1) << k
+                np.bitwise_xor.at(masks, s_idx, table[gi, others[w_idx], ct_codes])
 
     outcomes = np.searchsorted(cdf, rng.random(shots), side="right").astype(np.int64)
-    outcomes ^= out_masks
+    outcomes ^= masks
 
     # Asymmetric readout flips, one stream per outcome bit.
     for k, q in enumerate(measured):

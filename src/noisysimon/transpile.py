@@ -364,36 +364,46 @@ def _embeddings(
     graph: TopologyGraph,
 ) -> Iterator[Dict[str, int]]:
     """All injective node->vertex maps sending every edge to a device edge,
-    enumerated lexicographically in the fixed node order."""
-    adj = graph.adjacency()
-    neighbors_of = {
-        node: [other for e in edges for other in e if node in e and other != node]
+    enumerated lexicographically in the fixed node order.
+
+    Forward checking (VF2-style feasibility pruning, Cordella et al. 2004):
+    right after a node is placed, each unplaced interaction neighbour must
+    keep a free vertex adjacent to all its placed neighbours, or the branch
+    is dropped. Candidate sets only shrink as nodes are placed, so a dropped
+    branch holds no embedding; candidates are still tried in ascending vertex
+    order, so the embeddings come out in the same order as without the check.
+    Vertex sets are int bitmasks.
+    """
+    adj = [sum(1 << u for u in nbrs) for _, nbrs in sorted(graph.adjacency().items())]
+    index = {node: k for k, node in enumerate(nodes)}
+    neighbors = [
+        [index[other] for e in edges for other in e if node in e and other != node]
         for node in nodes
-    }
-    assign: Dict[str, int] = {}
-    used: set = set()
+    ]
+    place = [-1] * len(nodes)
 
-    def backtrack(k: int) -> Iterator[Dict[str, int]]:
+    def free_common(k: int, used: int) -> int:
+        """Free vertices adjacent to every placed neighbour of node k."""
+        mask = ~used & ((1 << graph.n) - 1)
+        for m in neighbors[k]:
+            if place[m] >= 0:
+                mask &= adj[place[m]]
+        return mask
+
+    def backtrack(k: int, used: int) -> Iterator[Dict[str, int]]:
         if k == len(nodes):
-            yield dict(assign)
+            yield {node: place[j] for j, node in enumerate(nodes)}
             return
-        node = nodes[k]
-        placed = [assign[m] for m in neighbors_of[node] if m in assign]
-        if placed:
-            cands = set(adj[placed[0]])
-            for p in placed[1:]:
-                cands &= set(adj[p])
-            candidates = sorted(cands - used)
-        else:
-            candidates = [v for v in range(graph.n) if v not in used]
-        for v in candidates:
-            assign[node] = v
-            used.add(v)
-            yield from backtrack(k + 1)
-            used.discard(v)
-            del assign[node]
+        candidates = free_common(k, used)
+        while candidates:
+            bit = candidates & -candidates
+            candidates ^= bit
+            place[k] = bit.bit_length() - 1
+            if all(place[m] >= 0 or free_common(m, used | bit) for m in neighbors[k]):
+                yield from backtrack(k + 1, used | bit)
+        place[k] = -1
 
-    yield from backtrack(0)
+    yield from backtrack(0, 0)
 
 
 def _fill_free_vertices(

@@ -1,0 +1,117 @@
+"""Byte-level golden digests of the sampler, the multiset CSV and the search.
+
+The digests pin the exact random stream layout of `noise._sample_chunk`
+(every draw's shape and order, and the order of the returned outcomes), the
+CSV form of a sampled multiset, and the order in which the placement search
+emits minimum-norm configurations. They were computed with the per-event
+sampler loop and the unpruned backtracking search, so a faster
+implementation passes only if it is output-identical to those.
+"""
+
+import dataclasses
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from noisysimon.noise import _sample_chunk, sample_noisy
+from noisysimon.simon import SimonFunction
+from noisysimon.transpile import enumerate_min_configurations
+
+SEED = 20260808
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def noise_variant(noise, circuit, variant):
+    """The default calibration, without crosstalk, or with the readout of the
+    first measured qubit set to (0, 0)."""
+    if variant == "default":
+        return noise
+    if variant == "no-crosstalk":
+        return dataclasses.replace(noise, crosstalk=0.0)
+    readout = list(noise.readout)
+    readout[circuit.label_of(circuit.measured[0])] = (0.0, 0.0)
+    return dataclasses.replace(noise, readout=tuple(readout))
+
+
+def outcomes_digest(circuit, noise, shots):
+    out = _sample_chunk(circuit, noise, shots, np.random.default_rng(SEED))
+    return _sha(out.astype("<i8").tobytes())
+
+
+def csv_digest(circuit, noise, path):
+    m = sample_noisy(circuit, noise, 8192, seed=SEED)
+    m.to_csv(path, header={"seed": SEED})
+    return _sha(path.read_bytes())
+
+
+def configurations_digest(graph, n):
+    configs = enumerate_min_configurations(SimonFunction.default(n), graph, 50)
+    return _sha(json.dumps([list(map(list, c.items)) for c in configs]).encode())
+
+
+SAMPLER_CASES = [(n, 8192) for n in range(2, 8)] + [(7, 1 << 18)]
+VARIANTS = ("default", "no-crosstalk", "zero-readout")
+
+GOLDEN_OUTCOMES = {
+    (2, 8192, "default"): "183b8781a93a2f87546e4dd1076eaa842caf0e1b762f3bcee05a95d141ec3920",
+    (2, 8192, "no-crosstalk"): "dd3bf9c46fff849ddd739fe848b5ed94bed82e14414ca268087123cf739c5205",
+    (2, 8192, "zero-readout"): "9e668ad433b5df45e3638fa1319d34aa8d73a173da77f94c25a7e9734d13ed6a",
+    (3, 8192, "default"): "5e7fc409a4110347c00942af00d9a2e7887564ea8ae3262b62d9a7ee87e856cf",
+    (3, 8192, "no-crosstalk"): "b541273ef8841a230a0a19e6dd840c9ef67087277e6b7752fde0514e38a51a55",
+    (3, 8192, "zero-readout"): "1586cef74570d4bee13a8c8c85bce592b5b725621740317fd5ba0cc28291f4af",
+    (4, 8192, "default"): "26f0505bb0a0d8e4ab8f1e25cbcfc78e737469b8b96587f45311edd8554b7b9d",
+    (4, 8192, "no-crosstalk"): "195a4d59d904b718095577cf7d9480a63db7adc728312568453219932f9622ca",
+    (4, 8192, "zero-readout"): "0706e972e8637c1dd0a2a026285bbdbdd96c8b5900347d9c309da583f3591e98",
+    (5, 8192, "default"): "68f249ea686a0303e35dad9705c555a949244bbb7a77bc2734755f5046ecf66c",
+    (5, 8192, "no-crosstalk"): "6665d2220356601ee3eda51eb63f5c6a17a99938b2e8c74ad354a5bf24afd989",
+    (5, 8192, "zero-readout"): "65638fde0ef0c06605ad23c33d4dbde5a54c86f2b5f31b5603459391c678ef00",
+    (6, 8192, "default"): "1e2be4bd697ede695e6c9f69d0e59a80238d3265c6e3eda90da169109566d468",
+    (6, 8192, "no-crosstalk"): "c8d77381f466bc522b080d3123ab7015b98283291681680874bfbc5f58f4d797",
+    (6, 8192, "zero-readout"): "21ab9767bd24c42de44c661454a0503432dfe94024969ab9d592abfee49202e7",
+    (7, 8192, "default"): "b635e72cdf0d438d400f777398b9832f3b3ebb72cec21b8c4b2a160c5e5b53d6",
+    (7, 8192, "no-crosstalk"): "4c0abb0dbd13d2852d762cc91ecd6a7ea52656c56dfd6220fed924f997b537fa",
+    (7, 8192, "zero-readout"): "9571b9e3931b63d0a74cda06a76e97842dc621e0100bb88c56b14f0cf288d9e3",
+    (7, 262144, "default"): "894e6cc33da61fb7c04858eee960b68cce13350989f39cb213e64c59fcf3be7c",
+    (7, 262144, "no-crosstalk"): "5e84c347f28ca5f8e71567444fc6e16b0da972f36df65e143b07bde45549dbde",
+    (7, 262144, "zero-readout"): "f69a5f0f34f419b4270bca0b2578f3c6cc2dfce2e9676b0c969e10255cbba233",
+}
+GOLDEN_CSV = {
+    2: "2d949dc4e184f1ca12b38879f211b99ec72eb99f0bb62604ce1e3ed097d97da4",
+    3: "2b8386fb12a68da7efb92841191946d85772f0e5e56f0d088d2cc7d388318622",
+    4: "6836fb95e0718f278274b92d1d455124208a394a8338c00f970f67e8aeb620e0",
+    5: "b013ef9c48f73aa5be4a7dde834d32f048560e178fc04d2d9d3f6b0ff02a3135",
+    6: "2d11d16ae13d348e1d0129eaef455e5bdf7b234089f8a83d1d31162c0e383919",
+    7: "92b1e65e7af8168c3350777566cf9484bb197b78cf85cefa311283eeaa6920cc",
+}
+GOLDEN_CONFIGURATIONS = {
+    2: "54e04d90b46f4f46728b5d90fd00625d5f093560a5cbc5c33992f8aaed09210e",
+    3: "8b8bbc67dea14077136f67274a2fa397603110ec84df0c024845ace77405e395",
+    4: "368487f233111bbf13ee83969137e6fe0f4b06ff7cf2441bcdea0684aca887ea",
+    5: "768e4eb68bf70a03b2ad8e05b604be7a29d9a64027018baf6f6a4cfda6051ab6",
+    6: "3f5c5e3ab742ee7c3e220fb1cc74aead59f2fd0b2a88f47c81710ef9f13f2927",
+    7: "26ee64de27c21b5629a77cc77f1c9896fdd2687c1ac00b97693800fef4d07340",
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("n,shots", SAMPLER_CASES)
+def test_sampler_outcomes_golden(compiled, noise, n, shots, variant):
+    circ = compiled[n][3]
+    got = outcomes_digest(circ, noise_variant(noise, circ, variant), shots)
+    assert got == GOLDEN_OUTCOMES[(n, shots, variant)]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_multiset_csv_golden(compiled, noise, tmp_path, n):
+    got = csv_digest(compiled[n][3], noise, tmp_path / "m.csv")
+    assert got == GOLDEN_CSV[n]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_enumerated_configurations_golden(graph, n):
+    assert configurations_digest(graph, n) == GOLDEN_CONFIGURATIONS[n]

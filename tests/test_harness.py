@@ -124,3 +124,22 @@ def test_custom_topology_flag(tmp_path):
                  "transpile-report", "--n-min", "2", "--n-max", "2"]) == 0
     rows = read_rows(tmp_path / "transpile_report.csv")
     assert int(rows[0]["cn"]) == 21
+
+
+def test_bad_input_gives_one_line_error(tmp_path, capsys):
+    bad_noise = tmp_path / "bad.json"
+    bad_noise.write_text('{"eps1": 0.01,')
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps({"vertices": 4, "edges": [[0, 1], [2, 3]]}))
+    cases = [
+        (["--topology", str(split), "measure", "--n", "2"], "are disconnected"),
+        (["measure", "--n", "7", "--shots", "0"], "shots must be >= 1"),
+        (["measure", "--n", "8"], "need 16 wires but the device has 15"),
+        (["--noise", str(bad_noise), "measure", "--n", "2"], "Expecting property name"),
+        (["--noise", str(tmp_path / "missing.json"), "measure", "--n", "2"], "No such file"),
+    ]
+    for argv, message in cases:
+        assert main(["--out-dir", str(tmp_path)] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("noisysimon: error: ") and message in err
+        assert err.count("\n") == 1

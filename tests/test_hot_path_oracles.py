@@ -1,0 +1,229 @@
+"""The two hot paths against plain reference implementations kept here.
+
+`reference_sample_chunk` is the sampler as a loop over single fault events,
+with the fault masks propagated as Python ints; the library's table-driven
+sampler must return the same outcomes and leave its generator in the same
+state. `reference_embeddings` is the placement search without forward
+checking; the library's search must emit the same embeddings in the same
+order, and networkx's VF2 matcher must count as many.
+"""
+
+import itertools
+
+import networkx as nx
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
+
+from noisysimon.circuits import CNOT, Circuit, Gate, H, X, build_simon_circuit
+from noisysimon.noise import NoiseParams, _sample_chunk
+from noisysimon.simon import SimonFunction
+from noisysimon.statevector import exact_output_distribution
+from noisysimon.transpile import (
+    TopologyGraph,
+    _embeddings,
+    _interaction_edges,
+    _label_key,
+    peephole_optimize,
+)
+
+# ---------------------------------------------------------------------------
+# Sampler
+
+
+def reference_fault_masks(circuit):
+    """fx[g][w] / fzx[g][w]: end-of-circuit X-mask of an X / Z injected on
+    wire w right after gate g."""
+    fx = [1 << w for w in range(circuit.width)]
+    fzx = [0] * circuit.width
+    fx_slots, fzx_slots = [], []
+    for g in reversed(circuit.gates):
+        fx_slots.append(list(fx))
+        fzx_slots.append(list(fzx))
+        if g.kind == H:
+            fx[g.target], fzx[g.target] = fzx[g.target], fx[g.target]
+        elif g.kind == CNOT:
+            fx[g.control] ^= fx[g.target]
+            fzx[g.target] ^= fzx[g.control]
+    fx_slots.reverse()
+    fzx_slots.reverse()
+    return fx_slots, fzx_slots
+
+
+def reference_mask(code, fx, fzx):
+    return {0: 0, 1: fx, 2: fx ^ fzx, 3: fzx}[code]
+
+
+def reference_sample_chunk(circuit, noise, shots, rng):
+    gates, width, measured = circuit.gates, circuit.width, circuit.measured
+    cdf = np.cumsum(exact_output_distribution(circuit))
+    cdf[-1] = 1.0
+    masks = np.zeros(shots, dtype=np.int64)
+    if gates and (noise.eps1 > 0 or noise.eps2 > 0 or noise.crosstalk > 0):
+        fx, fzx = reference_fault_masks(circuit)
+        err = np.array([noise.eps2 if g.arity == 2 else noise.eps1 for g in gates])
+        hit = rng.random((shots, len(gates))) < err
+        shot_idx, gate_idx = np.nonzero(hit)
+        if shot_idx.size:
+            codes = rng.integers(0, 4, size=(shot_idx.size, 2))
+            for k in range(shot_idx.size):
+                s, gi = int(shot_idx[k]), int(gate_idx[k])
+                g = gates[gi]
+                m = reference_mask(int(codes[k, 0]), fx[gi][g.target], fzx[gi][g.target])
+                if g.arity == 2:
+                    m ^= reference_mask(int(codes[k, 1]), fx[gi][g.control], fzx[gi][g.control])
+                masks[s] ^= m
+        if noise.crosstalk > 0:
+            for gi, g in enumerate(gates):
+                if g.arity != 2:
+                    continue
+                others = [w for w in range(width) if w not in g.qubits]
+                if not others:
+                    continue
+                hit_ct = rng.random((shots, len(others))) < noise.crosstalk
+                s_idx, w_idx = np.nonzero(hit_ct)
+                if not s_idx.size:
+                    continue
+                ct_codes = rng.integers(0, 4, size=s_idx.size)
+                for k in range(s_idx.size):
+                    w = others[int(w_idx[k])]
+                    m = reference_mask(int(ct_codes[k]), fx[gi][w], fzx[gi][w])
+                    masks[int(s_idx[k])] ^= m
+    out_masks = np.zeros(shots, dtype=np.int64)
+    for k, q in enumerate(measured):
+        out_masks |= ((masks >> q) & 1) << k
+    outcomes = np.searchsorted(cdf, rng.random(shots), side="right").astype(np.int64)
+    outcomes ^= out_masks
+    for k, q in enumerate(measured):
+        p01, p10 = noise.readout_for(circuit.label_of(q))
+        if p01 == 0.0 and p10 == 0.0:
+            rng.random(shots)
+            continue
+        bits = (outcomes >> k) & 1
+        flips = rng.random(shots) < np.where(bits == 1, p10, p01)
+        outcomes ^= flips.astype(np.int64) << k
+    return outcomes
+
+
+@st.composite
+def circuits(draw):
+    width = draw(st.integers(1, 8))
+    wire = st.integers(0, width - 1)
+    one_qubit = st.builds(Gate, st.sampled_from([H, X]), wire)
+    pairs = st.tuples(wire, wire).filter(lambda p: p[0] != p[1])
+    gate = one_qubit if width == 1 else st.one_of(
+        one_qubit, pairs.map(lambda p: Gate(CNOT, p[1], control=p[0]))
+    )
+    gates = draw(st.lists(gate, max_size=24))
+    measured = draw(st.permutations(range(width)))[: draw(st.integers(1, width))]
+    return Circuit(width, tuple(gates), tuple(measured))
+
+
+rate = st.sampled_from([0.0, 0.0, 0.01, 0.2, 1.0])
+readout_pair = st.one_of(st.just((0.0, 0.0)), st.tuples(rate, rate))
+noise_params = st.builds(
+    NoiseParams,
+    eps1=rate,
+    eps2=rate,
+    crosstalk=rate,
+    readout=st.lists(readout_pair, max_size=8).map(tuple),
+    default_p01=rate,
+    default_p10=rate,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuits(), noise_params, st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_sampler_matches_per_event_reference(circuit, noise, shots, seed):
+    fast_rng = np.random.default_rng(seed)
+    slow_rng = np.random.default_rng(seed)
+    fast = _sample_chunk(circuit, noise, shots, fast_rng)
+    slow = reference_sample_chunk(circuit, noise, shots, slow_rng)
+    assert fast.dtype == slow.dtype and np.array_equal(fast, slow)
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# Placement search
+
+
+def reference_embeddings(nodes, edges, graph):
+    """Plain backtracking over candidates in ascending vertex order."""
+    adj = graph.adjacency()
+    neighbors_of = {
+        node: [other for e in edges for other in e if node in e and other != node]
+        for node in nodes
+    }
+    assign, used = {}, set()
+
+    def backtrack(k):
+        if k == len(nodes):
+            yield dict(assign)
+            return
+        node = nodes[k]
+        placed = [assign[m] for m in neighbors_of[node] if m in assign]
+        if placed:
+            cands = set(adj[placed[0]])
+            for p in placed[1:]:
+                cands &= set(adj[p])
+            candidates = sorted(cands - used)
+        else:
+            candidates = [v for v in range(graph.n) if v not in used]
+        for v in candidates:
+            assign[node] = v
+            used.add(v)
+            yield from backtrack(k + 1)
+            used.discard(v)
+            del assign[node]
+
+    yield from backtrack(0)
+
+
+def vf2_count(nodes, edges, graph):
+    device = nx.Graph()
+    device.add_nodes_from(range(graph.n))
+    device.add_edges_from(graph.edges)
+    pattern = nx.Graph()
+    pattern.add_nodes_from(nodes)
+    pattern.add_edges_from(edges)
+    return sum(1 for _ in GraphMatcher(device, pattern).subgraph_monomorphisms_iter())
+
+
+def simon_pattern(n):
+    logical = peephole_optimize(build_simon_circuit(SimonFunction.default(n)))
+    nodes = sorted((logical.label_of(w) for w in range(logical.width)), key=_label_key)
+    return nodes, _interaction_edges(logical)
+
+
+def test_embeddings_count_matches_vf2_on_device(graph):
+    # n=5 has 452,448 embeddings; networkx needs about half a minute for them,
+    # so the full count is checked up to n=4 and n=5 by its prefix below
+    for n in range(2, 5):
+        nodes, edges = simon_pattern(n)
+        assert sum(1 for _ in _embeddings(nodes, edges, graph)) == vf2_count(nodes, edges, graph)
+
+
+def test_embeddings_sequence_matches_unpruned_search_on_device(graph):
+    for n in range(2, 6):
+        nodes, edges = simon_pattern(n)
+        limit = None if n < 5 else 20_000
+        fast = list(itertools.islice(_embeddings(nodes, edges, graph), limit))
+        slow = list(itertools.islice(reference_embeddings(nodes, edges, graph), limit))
+        assert fast == slow and fast
+
+
+def test_embeddings_match_references_on_random_graphs():
+    rng = np.random.default_rng(20260808)
+    for _ in range(60):
+        n_dev = int(rng.integers(3, 9))
+        dev_edges = [e for e in itertools.combinations(range(n_dev), 2) if rng.random() < 0.45]
+        graph = TopologyGraph.from_edges(n_dev, dev_edges)
+        k = int(rng.integers(1, min(n_dev, 5) + 1))
+        nodes = [f"p{i}" for i in range(k)]
+        edges = frozenset(
+            (a, b) for a, b in itertools.combinations(nodes, 2) if rng.random() < 0.5
+        )
+        fast = list(_embeddings(nodes, edges, graph))
+        assert fast == list(reference_embeddings(nodes, edges, graph))
+        assert len(fast) == vf2_count(nodes, edges, graph)

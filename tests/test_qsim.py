@@ -163,12 +163,12 @@ def test_multiset_csv_round_trip(tmp_path, compiled):
 def test_fault_propagation_matches_explicit_trajectories(compiled):
     """Injected Paulis are propagated to an end-of-circuit X-mask; check every
     injection site against a statevector run with the fault applied in place."""
-    from noisysimon.noise import _fault_masks, _mask_for
+    from noisysimon.noise import _fault_masks
     from noisysimon.statevector import apply_pauli, measured_marginal
 
     _, _, _, circ = compiled[3]
     base = exact_output_distribution(circ)
-    fx, fzx = _fault_masks(circ)
+    table = _fault_masks(circ)
     for g_idx in range(len(circ.gates)):
         for wire in range(circ.width):
             for code in (1, 2, 3):
@@ -178,7 +178,7 @@ def test_fault_propagation_matches_explicit_trajectories(compiled):
                     if k == g_idx:
                         state = apply_pauli(state, code, wire, circ.width)
                 slow = measured_marginal(state, circ.measured, circ.width)
-                mask = _mask_for(code, fx[g_idx][wire], fzx[g_idx][wire])
+                mask = int(table[g_idx, wire, code])
                 out_mask = 0
                 for k, q in enumerate(circ.measured):
                     out_mask |= ((mask >> q) & 1) << k
@@ -199,6 +199,10 @@ def test_noise_params_validation():
         NoiseParams(eps1=1.5)
     with pytest.raises(ValueError):
         NoiseParams(readout=((0.1, -0.2),))
+    for bad in ([0.1], {"eps1": "high"}, {"readout": [[0.1]]}, {"readout": [0.1]}):
+        with pytest.raises(ValueError):
+            NoiseParams.from_dict(bad)
+    assert NoiseParams.from_dict({"eps1": 0.002}) == NoiseParams(eps1=0.002, eps2=0.02)
 
 
 def test_estimate_tau_examples():
@@ -206,3 +210,12 @@ def test_estimate_tau_examples():
     assert estimate_tau(m, BitVec.from_string("011")) == 0.0
     m2 = MeasurementMultiset.from_counts(3, {0b000: 8192 - 819, 0b001: 819})
     assert abs(estimate_tau(m2, BitVec.from_string("011")) - 819 / 8192) < 1e-15
+
+
+def test_circuit_json_round_trip_text_and_file(tmp_path, compiled):
+    circ = compiled[7][3]
+    text = circ.to_json(tmp_path / "c.json")
+    assert len(text) > 255  # longer than a file name may be
+    assert Circuit.from_json(text) == circ
+    assert Circuit.from_json_file(tmp_path / "c.json") == circ
+    assert Circuit.from_json_file(str(tmp_path / "c.json")) == circ
