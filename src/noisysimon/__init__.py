@@ -79,7 +79,6 @@ from .solvers import (
     QueryLedger,
     SamplePool,
     classical_period,
-    classical_period_reference,
     expected_pooled_gauss_loops,
     expected_pooled_lsn_loops,
     majority_verifier,

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Sequence
 
+import numpy as np
+
 
 class DimensionError(ValueError):
     """Operands have incompatible vector lengths."""
@@ -21,6 +23,11 @@ class RankError(ValueError):
 
 def _popcount(v: int) -> int:
     return bin(v).count("1")
+
+
+def parity(a: np.ndarray) -> np.ndarray:
+    """Elementwise parity (popcount mod 2) of a nonnegative int array."""
+    return np.bitwise_count(a) & 1
 
 
 @dataclass(frozen=True)
@@ -144,27 +151,24 @@ class Gf2Matrix:
 
 
 def _echelon(values: Sequence[int], n: int) -> List[int]:
-    """Row echelon basis with deterministic pivoting, lowest bit index first."""
-    basis: List[int] = []  # basis[k] has pivot at pivots[k]
-    pivots: List[int] = []
+    """Reduced row echelon basis, pivots (lowest set bits) ascending.
+
+    Each row's pivot column is clear in every other row, so reducing a new
+    row takes one pass, and the result is the unique reduced basis of the
+    row span whatever the order of `values`.
+    """
+    rows = {}  # pivot bit -> row
     for v in values:
-        for piv, row in zip(pivots, basis):
-            if (v >> piv) & 1:
+        for bit, row in rows.items():
+            if v & bit:
                 v ^= row
         if v:
-            piv = (v & -v).bit_length() - 1
-            # insert keeping pivots sorted ascending
-            k = 0
-            while k < len(pivots) and pivots[k] < piv:
-                k += 1
-            pivots.insert(k, piv)
-            basis.insert(k, v)
-    # back-substitute so each pivot column is cleared in the other rows
-    for k in range(len(basis)):
-        for j in range(len(basis)):
-            if j != k and (basis[j] >> pivots[k]) & 1:
-                basis[j] ^= basis[k]
-    return basis
+            low = v & -v
+            for bit, row in rows.items():
+                if row & low:
+                    rows[bit] = row ^ v
+            rows[low] = v
+    return [rows[bit] for bit in sorted(rows)]
 
 
 def rank_ints(values: Sequence[int], n: int) -> int:
@@ -195,16 +199,18 @@ def in_span(m: Gf2Matrix, y: BitVec) -> bool:
 def nullspace_ints(values: Sequence[int], n: int) -> List[int]:
     """Basis of {x : <x, row> = 0 for all rows}, one vector per free column."""
     basis = _echelon(values, n)
-    pivots = [(row & -row).bit_length() - 1 for row in basis]
-    pivot_set = set(pivots)
+    pivots = 0
+    for row in basis:
+        pivots |= row & -row
     out = []
     for j in range(n):
-        if j in pivot_set:
+        bit = 1 << j
+        if pivots & bit:
             continue
-        x = 1 << j
-        for piv, row in zip(pivots, basis):
-            if (row >> j) & 1:
-                x |= 1 << piv
+        x = bit
+        for row in basis:
+            if row & bit:
+                x |= row & -row
         out.append(x)
     return out
 

@@ -12,7 +12,7 @@ from typing import List
 
 import numpy as np
 
-from .gf2 import BitVec, orthogonal_basis
+from .gf2 import BitVec, orthogonal_basis, parity
 from .multiset import EmptyMultisetError, MeasurementMultiset
 
 
@@ -34,22 +34,11 @@ class LsnParams:
         return replace(self, tau=tau)
 
 
-def _parity_table(n: int, s: int) -> np.ndarray:
-    y = np.arange(1 << n, dtype=np.int64) & s
-    y ^= y >> 32
-    y ^= y >> 16
-    y ^= y >> 8
-    y ^= y >> 4
-    y ^= y >> 2
-    y ^= y >> 1
-    return (y & 1).astype(np.int64)
-
-
 def model_distribution(params: LsnParams) -> np.ndarray:
     """Exact two-level outcome distribution."""
-    parity = _parity_table(params.n, params.s.value)
+    odd = parity(np.arange(1 << params.n, dtype=np.int64) & params.s.value)
     scale = 1.0 / (1 << (params.n - 1))
-    return np.where(parity == 0, (1.0 - params.tau) * scale, params.tau * scale)
+    return np.where(odd == 0, (1.0 - params.tau) * scale, params.tau * scale)
 
 
 def sample_many(params: LsnParams, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gf2 import BitVec, nullspace_ints, rank_ints
+from .gf2 import BitVec, _echelon, nullspace_ints, parity
 from .multiset import MeasurementMultiset
 from .reductions import LpnSample, SolveFailure
 from .simon import SimonFunction
@@ -52,6 +53,11 @@ class SamplePool:
     def __len__(self) -> int:
         return len(self.samples)
 
+    @cached_property
+    def values(self) -> List[int]:
+        """The samples as packed ints, built once per pool."""
+        return [v.value for v in self.samples]
+
 
 # ---------------------------------------------------------------------------
 # Optimal classical period finding
@@ -59,7 +65,6 @@ class SamplePool:
 
 def classical_period(
     f: SimonFunction,
-    rng: Optional[np.random.Generator] = None,
     ledger_hook: Optional[Callable[[QueryLedger], None]] = None,
 ) -> Tuple[BitVec, CostReport]:
     """Query f at points chosen to rule out as many distances as possible.
@@ -70,86 +75,48 @@ def classical_period(
     collision or, once |D| = 2^n - 1, names the one remaining distance.
 
     The score table is maintained incrementally: c[x] counts d in D with
-    x+d in P, so the chosen x is argmin c outside P. `rng` is accepted for
-    interface symmetry; the procedure itself is deterministic given f.
+    x+d in P, so the chosen x is argmin c outside P. Queried points carry a
+    score above any count, so they are never chosen again.
     """
-    del rng
     n = f.n
     size = 1 << n
+    queried = 1 << 62
     c = np.zeros(size, dtype=np.int64)
-    in_p = np.zeros(size, dtype=bool)
     in_d = np.zeros(size, dtype=bool)
-    points: List[int] = []
-    distances: List[int] = []
-    seen = {}
+    points = np.zeros(size, dtype=np.int64)  # P is points[:n_p], D is distances[:n_d]
+    distances = np.zeros(size, dtype=np.int64)
 
-    def add_point(x: int) -> None:
-        in_p[x] = True
-        if distances:
-            c[np.bitwise_xor(np.array(distances, dtype=np.int64), x)] += 1
-        points.append(x)
+    def snapshot() -> QueryLedger:
+        return QueryLedger(tuple(points[:n_p].tolist()), tuple(distances[:n_d].tolist()))
 
-    def add_distance(d: int) -> None:
-        in_d[d] = True
-        if points:
-            c[np.bitwise_xor(np.array(points, dtype=np.int64), d)] += 1
-        distances.append(d)
-
-    seen[f.eval_int(0)] = 0
-    add_point(0)
-    add_distance(0)
+    seen = {f.eval_int(0): 0}
+    c[0] = queried
+    in_d[0] = True
+    n_p = n_d = 1
     loops = 0
-    queries = 1
-    while len(distances) < size - 1:
-        scores = np.where(in_p, np.iinfo(np.int64).max, c)
-        x = int(np.argmin(scores))
+    while n_d < size - 1:
+        x = int(c.argmin())
         loops += 1
-        queries += 1
         fx = f.eval_int(x)
         if fx in seen:
-            s = x ^ seen[fx]
             if ledger_hook is not None:
-                ledger_hook(QueryLedger(tuple(points), tuple(distances)))
-            return BitVec(n, s), CostReport(loops, queries)
+                ledger_hook(snapshot())
+            return BitVec(n, x ^ seen[fx]), CostReport(loops, loops + 1)
         seen[fx] = x
-        add_point(x)
-        arr = np.bitwise_xor(np.array(points, dtype=np.int64), x)
-        for d in arr.tolist():
-            if not in_d[d]:
-                add_distance(d)
+        points[n_p] = x
+        n_p += 1
+        p = points[:n_p]
+        arr = p ^ x
+        new = arr[~in_d[arr]]  # the distances x newly rules out, in point order
+        in_d[new] = True
+        c[distances[:n_d] ^ x] += 1
+        distances[n_d:n_d + new.size] = new
+        n_d += new.size
+        c += np.bincount((p[:, None] ^ new).ravel(), minlength=size)
+        c[x] = queried
         if ledger_hook is not None:
-            ledger_hook(QueryLedger(tuple(points), tuple(distances)))
+            ledger_hook(snapshot())
     s = int(np.flatnonzero(~in_d)[0])
-    return BitVec(n, s), CostReport(loops, queries)
-
-
-def classical_period_reference(f: SimonFunction) -> Tuple[BitVec, CostReport]:
-    """Brute-force restatement of the same procedure (per-round full rescan);
-    cross-checks the incremental bookkeeping for small n."""
-    n = f.n
-    size = 1 << n
-    points = [0]
-    values = {f.eval_int(0): 0}
-    distances = {0}
-    loops = 0
-    while len(distances) < size - 1:
-        best_x, best_score = None, -1
-        for x in range(size):
-            if x in points:
-                continue
-            score = sum(1 for d in distances if (x ^ d) not in points)
-            if score > best_score:
-                best_x, best_score = x, score
-        x = best_x
-        loops += 1
-        fx = f.eval_int(x)
-        if fx in values:
-            return BitVec(n, x ^ values[fx]), CostReport(loops, loops + 1)
-        values[fx] = x
-        points.append(x)
-        for p in points:
-            distances.add(x ^ p)
-    (s,) = set(range(size)) - distances
     return BitVec(n, s), CostReport(loops, loops + 1)
 
 
@@ -159,9 +126,9 @@ def classical_period_reference(f: SimonFunction) -> Tuple[BitVec, CostReport]:
 
 def _draw_distinct(rng: np.random.Generator, pool_size: int, k: int) -> List[int]:
     while True:
-        idx = rng.integers(0, pool_size, size=k)
-        if len(set(idx.tolist())) == k:
-            return [int(i) for i in idx]
+        idx = rng.integers(0, pool_size, size=k).tolist()
+        if len(set(idx)) == k:
+            return idx
 
 
 def pooled_lsn(
@@ -172,21 +139,23 @@ def pooled_lsn(
 ) -> Tuple[BitVec, CostReport]:
     """Repeatedly draw n-1 distinct pool samples; on a linearly independent,
     error-free draw the one-dimensional nullspace is the period, which the
-    function oracle confirms. Every completed draw counts as one loop."""
-    samples = pool.samples if isinstance(pool, SamplePool) else tuple(pool)
+    function oracle confirms. Every completed draw counts as one loop.
+
+    n-1 rows have rank n-1 exactly when their nullspace is one-dimensional,
+    so one elimination serves as both the rank test and the solve."""
+    vals = pool.values if isinstance(pool, SamplePool) else [v.value for v in pool]
     n = f.n
-    if len(samples) < n - 1:
-        raise ValueError(f"pool of {len(samples)} cannot contain {n - 1} independent samples")
-    vals = [v.value for v in samples]
+    if len(vals) < n - 1:
+        raise ValueError(f"pool of {len(vals)} cannot contain {n - 1} independent samples")
     loops = 0
     queries = 0
     while loops < max_loops:
         loops += 1
         idx = _draw_distinct(rng, len(vals), n - 1) if n > 1 else []
-        rows = [vals[i] for i in idx]
-        if rank_ints(rows, n) != n - 1:
+        null = nullspace_ints([vals[i] for i in idx], n)
+        if len(null) != 1:
             continue
-        (cand,) = nullspace_ints(rows, n)
+        (cand,) = null
         queries += 1
         if f.verify_period(BitVec(n, cand)):
             return BitVec(n, cand), CostReport(loops, queries)
@@ -194,31 +163,20 @@ def pooled_lsn(
 
 
 def _solve_full_rank(rows: List[int], labels: List[int], n: int) -> Optional[int]:
-    """Solve <a_i, s> = b_i over F_2; None if the a_i do not determine s."""
-    aug = [(a << 1) | (b & 1) for a, b in zip(rows, labels)]
-    # Gaussian elimination on the label-augmented representation.
-    pivots: List[int] = []
-    reduced: List[int] = []
-    for v in aug:
-        for piv, row in zip(pivots, reduced):
-            if (v >> (piv + 1)) & 1:
-                v ^= row
-        if v >> 1:
-            piv = ((v >> 1) & -(v >> 1)).bit_length() - 1
-            k = 0
-            while k < len(pivots) and pivots[k] < piv:
-                k += 1
-            pivots.insert(k, piv)
-            reduced.insert(k, v)
-    if len(pivots) != n:
+    """Solve the n equations <a_i, s> = b_i over F_2; None if the a_i do not
+    determine s.
+
+    With the label stored above a's bits, the reduced echelon basis of the
+    rows a | b << n is, when the a_i are independent, e_j | s_j << n for
+    each j; otherwise it is shorter or holds the label-only row 1 << n."""
+    basis = _echelon([a | (b & 1) << n for a, b in zip(rows, labels)], n + 1)
+    label = 1 << n
+    if len(basis) != n or label in basis:
         return None
-    for k in range(len(reduced)):
-        for j in range(len(reduced)):
-            if j != k and (reduced[j] >> (pivots[k] + 1)) & 1:
-                reduced[j] ^= reduced[k]
     s = 0
-    for piv, row in zip(pivots, reduced):
-        s |= (row & 1) << piv
+    for row in basis:
+        if row & label:
+            s |= row & -row
     return s
 
 
@@ -230,7 +188,8 @@ def pooled_gauss_lpn(
 ) -> Tuple[BitVec, CostReport]:
     """Repeatedly draw n distinct parity samples, solve the linear system,
     and return the first candidate the verifier accepts."""
-    pool = list(pool)
+    if not isinstance(pool, (list, tuple)):
+        pool = list(pool)
     if not pool:
         raise ValueError("empty pool")
     n = pool[0].a.n
@@ -261,11 +220,7 @@ def majority_verifier(
     threshold = (tau + 0.5) / 2.0
 
     def verify(cand: BitVec) -> bool:
-        prod = a_vals & cand.value
-        par = prod.copy()
-        for shift in (32, 16, 8, 4, 2, 1):
-            par ^= par >> shift
-        mism = ((par & 1) ^ b_vals).mean()
+        mism = (parity(a_vals & cand.value) ^ b_vals).mean()
         return bool(mism < threshold)
 
     return verify

@@ -1,4 +1,5 @@
-"""Byte-level golden digests of the sampler, the multiset CSV and the search.
+"""Byte-level golden digests of the sampler, the multiset CSV, the search
+and the solvers.
 
 The digests pin the exact random stream layout of `noise._sample_chunk`
 (every draw's shape and order, and the order of the returned outcomes), the
@@ -6,6 +7,11 @@ CSV form of a sampled multiset, and the order in which the placement search
 emits minimum-norm configurations. They were computed with the per-event
 sampler loop and the unpruned backtracking search, so a faster
 implementation passes only if it is output-identical to those.
+
+The solver digests pin `(period, loop_count, queries)` of every call and the
+state each generator is left in. They were computed with the per-distance
+`classical_period` and with a `pooled_lsn` that ran a separate rank test
+before its nullspace, at a seed other than the CLI's.
 """
 
 import dataclasses
@@ -15,11 +21,25 @@ import json
 import numpy as np
 import pytest
 
+from noisysimon.cli import FIG9_TAUS
+from noisysimon.gf2 import BitVec
+from noisysimon.lsn import LsnParams, sample_many
 from noisysimon.noise import _sample_chunk, sample_noisy
+from noisysimon.reductions import lsn_sample_to_lpn
 from noisysimon.simon import SimonFunction
+from noisysimon.solvers import (
+    SamplePool,
+    classical_period,
+    majority_verifier,
+    pooled_gauss_lpn,
+    pooled_lsn,
+)
 from noisysimon.transpile import enumerate_min_configurations
 
 SEED = 20260808
+SOLVER_SEED = 31415926  # not the CLI's default seed
+SOLVER_CALLS = 200
+SOLVER_POOL = 4096
 
 
 def _sha(data: bytes) -> str:
@@ -52,6 +72,45 @@ def csv_digest(circuit, noise, path):
 def configurations_digest(graph, n):
     configs = enumerate_min_configurations(SimonFunction.default(n), graph, 50)
     return _sha(json.dumps([list(map(list, c.items)) for c in configs]).encode())
+
+
+def _solver_digest(results, rng=None) -> str:
+    rows = [[period.value, cost.loop_count, cost.queries] for period, cost in results]
+    tail = int(rng.integers(0, 1 << 62)) if rng is not None else None
+    return _sha(json.dumps([rows, tail]).encode())
+
+
+def classical_period_digest(n):
+    results = [classical_period(SimonFunction.from_period(BitVec(n, sv)))
+               for sv in range(1, 1 << n)]
+    return _solver_digest(results)
+
+
+def _solver_pool(n):
+    """Rng, function and Fig. 9 sample vectors for the pooled-solver digests."""
+    rng = np.random.default_rng([SOLVER_SEED, n])
+    f = SimonFunction.default(n)
+    ys = sample_many(LsnParams(n, FIG9_TAUS[n], f.s), SOLVER_POOL, rng)
+    return rng, f, [BitVec(n, int(v)) for v in ys]
+
+
+def pooled_lsn_digest(n, as_sample_pool):
+    rng, f, vectors = _solver_pool(n)
+    pool = SamplePool.from_vectors(vectors) if as_sample_pool else vectors
+    return _solver_digest([pooled_lsn(f, pool, rng) for _ in range(SOLVER_CALLS)], rng)
+
+
+def pooled_gauss_digest(n):
+    rng, f, vectors = _solver_pool(n)
+    zv = 0
+    while BitVec(n, zv).inner(f.s) != 1:
+        zv = int(rng.integers(0, 1 << n))
+    samples = [lsn_sample_to_lpn(y, BitVec(n, zv), rng) for y in vectors]
+    held = samples[: max(128, 4 * n)]
+    verifier = majority_verifier(held, FIG9_TAUS[n])
+    body = samples[len(held):]
+    results = [pooled_gauss_lpn(body, verifier, rng) for _ in range(SOLVER_CALLS)]
+    return _solver_digest(results, rng)
 
 
 SAMPLER_CASES = [(n, 8192) for n in range(2, 8)] + [(7, 1 << 18)]
@@ -115,3 +174,44 @@ def test_multiset_csv_golden(compiled, noise, tmp_path, n):
 @pytest.mark.parametrize("n", range(2, 8))
 def test_enumerated_configurations_golden(graph, n):
     assert configurations_digest(graph, n) == GOLDEN_CONFIGURATIONS[n]
+
+GOLDEN_CLASSICAL_PERIOD = {
+    2: "40d58d8bbad1cd600d5e835166fa3b2aadb60b1666c008cbb76cb414562ecb1e",
+    3: "7f6d72cc2f0088db87533879463b9ca9fb3748460ccad5e7da778d4a06177de5",
+    4: "9654b5fb5bc958ae47cf759087f989e7c402b0d7fc399235fa9fb87268b1a43e",
+    5: "ccbbea81fdf07775104dde38603bec290754cc8a5a1f4a14ede92d61025419ec",
+    6: "05aaa5511028d4909ee0ebc70fd81a62449fe2633990d5df5dd4ec24ca31eace",
+    7: "20b9c9805754a0284a1e596830037459eb99ae925d5b674742b138bc67dbd153",
+}
+GOLDEN_POOLED_LSN = {
+    2: "51c2dcc9f9923e3783f45c1d8f85d2b502532214d424fa56bac5bbe3bbb746fc",
+    3: "3a970dfb6d2788e79ae040749cb6643192570e5ca38fe78813ed1e2413d8557c",
+    4: "2e709c2f7ce95272b18facdf93f838f3f425f97cb553aa83b091fd0f91a29cb8",
+    5: "3e6f1f134d65b3a15f3b8825d5532670de2cbd1a946d11631ea441338d00f02d",
+    6: "21ab0f8cd681ec1ae2609d644b6f750325a9742bb8e9ac08702d57a684a77e9f",
+    7: "02454a85de31600953cc8922db6b3a784274d87cb94fee4610cb35bdf8879640",
+}
+GOLDEN_POOLED_GAUSS = {
+    2: "dddea5ca90840dae3a46df48d5e4dc2ea90da18d54be521fcb032333466f0803",
+    3: "ee9113bebfed07cfebd70468dda4593df10374e4e78a6cd3d78b37a791c22306",
+    4: "652c8f5eaf8dd44f8927864b441ce3ff4f1dd6f98dde4fb2e1a6304a552ebc09",
+    5: "430d7b873de702017408d1a1ba7dfea59b8f12a77e6e78c4b923536290a3fadf",
+    6: "0b2216e3a98b7bb88a51c38d6908d1801c94945425e03f32c1c7d5512329a0f3",
+    7: "12a790fecb785998d07d403192caa8c595827c5c1a6f994f3e4b174d545ce398",
+}
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_classical_period_golden(n):
+    assert classical_period_digest(n) == GOLDEN_CLASSICAL_PERIOD[n]
+
+
+@pytest.mark.parametrize("as_sample_pool", [True, False], ids=["SamplePool", "list"])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_pooled_lsn_golden(n, as_sample_pool):
+    assert pooled_lsn_digest(n, as_sample_pool) == GOLDEN_POOLED_LSN[n]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_pooled_gauss_golden(n):
+    assert pooled_gauss_digest(n) == GOLDEN_POOLED_GAUSS[n]

@@ -1,4 +1,4 @@
-"""The two hot paths against plain reference implementations kept here.
+"""The hot paths against plain reference implementations kept here.
 
 `reference_sample_chunk` is the sampler as a loop over single fault events,
 with the fault masks propagated as Python ints; the library's table-driven
@@ -6,6 +6,14 @@ sampler must return the same outcomes and leave its generator in the same
 state. `reference_embeddings` is the placement search without forward
 checking; the library's search must emit the same embeddings in the same
 order, and networkx's VF2 matcher must count as many.
+`reference_echelon` and `reference_solve_full_rank` are the eliminations with
+a separate back-substitution pass; the library's one-pass Gauss-Jordan forms
+must give the same basis and the same solution, and the nullspace must span
+exactly the brute-force nullspace.
+`classical_period_per_distance` is the optimal classical period finder with
+one score update per new distance; the library's batched updates must give
+the same ledgers, period and cost. `classical_period_reference` restates it
+as a full rescan per round (compared in `test_solvers.py`).
 """
 
 import itertools
@@ -16,9 +24,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
+from typing import Callable, List, Optional, Tuple
+
 from noisysimon.circuits import CNOT, Circuit, Gate, H, X, build_simon_circuit
+from noisysimon.gf2 import BitVec, _echelon, nullspace_ints
 from noisysimon.noise import NoiseParams, _sample_chunk
 from noisysimon.simon import SimonFunction
+from noisysimon.solvers import CostReport, QueryLedger, _solve_full_rank, classical_period
 from noisysimon.statevector import exact_output_distribution
 from noisysimon.transpile import (
     TopologyGraph,
@@ -227,3 +239,190 @@ def test_embeddings_match_references_on_random_graphs():
         fast = list(_embeddings(nodes, edges, graph))
         assert fast == list(reference_embeddings(nodes, edges, graph))
         assert len(fast) == vf2_count(nodes, edges, graph)
+
+
+# ---------------------------------------------------------------------------
+# Elimination over F_2
+
+
+def reference_echelon(values, n):
+    """Row echelon basis with deterministic pivoting, lowest bit index first."""
+    basis = []  # basis[k] has pivot at pivots[k]
+    pivots = []
+    for v in values:
+        for piv, row in zip(pivots, basis):
+            if (v >> piv) & 1:
+                v ^= row
+        if v:
+            piv = (v & -v).bit_length() - 1
+            # insert keeping pivots sorted ascending
+            k = 0
+            while k < len(pivots) and pivots[k] < piv:
+                k += 1
+            pivots.insert(k, piv)
+            basis.insert(k, v)
+    # back-substitute so each pivot column is cleared in the other rows
+    for k in range(len(basis)):
+        for j in range(len(basis)):
+            if j != k and (basis[j] >> pivots[k]) & 1:
+                basis[j] ^= basis[k]
+    return basis
+
+
+@st.composite
+def row_sets(draw):
+    n = draw(st.integers(1, 8))
+    return n, draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n + 2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(row_sets())
+def test_echelon_and_nullspace_match_references(case):
+    n, values = case
+    assert _echelon(values, n) == reference_echelon(values, n)
+    null = nullspace_ints(values, n)
+    span = {0}
+    for v in null:
+        span |= {u ^ v for u in span}
+    assert len(span) == 1 << len(null)
+    assert span == {
+        x for x in range(1 << n) if all(bin(x & v).count("1") % 2 == 0 for v in values)
+    }
+
+
+def reference_solve_full_rank(rows, labels, n):
+    """Solve <a_i, s> = b_i over F_2; None if the a_i do not determine s."""
+    aug = [(a << 1) | (b & 1) for a, b in zip(rows, labels)]
+    # Gaussian elimination on the label-augmented representation.
+    pivots = []
+    reduced = []
+    for v in aug:
+        for piv, row in zip(pivots, reduced):
+            if (v >> (piv + 1)) & 1:
+                v ^= row
+        if v >> 1:
+            piv = ((v >> 1) & -(v >> 1)).bit_length() - 1
+            k = 0
+            while k < len(pivots) and pivots[k] < piv:
+                k += 1
+            pivots.insert(k, piv)
+            reduced.insert(k, v)
+    if len(pivots) != n:
+        return None
+    for k in range(len(reduced)):
+        for j in range(len(reduced)):
+            if j != k and (reduced[j] >> (pivots[k] + 1)) & 1:
+                reduced[j] ^= reduced[k]
+    s = 0
+    for piv, row in zip(pivots, reduced):
+        s |= (row & 1) << piv
+    return s
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+), st.integers(0, 2**32 - 1))
+def test_solve_full_rank_matches_reference(case, label_bits):
+    n, rows = case
+    labels = [(label_bits >> i) & 1 for i in range(n)]
+    assert _solve_full_rank(rows, labels, n) == reference_solve_full_rank(rows, labels, n)
+
+
+# ---------------------------------------------------------------------------
+# Optimal classical period finding
+
+
+def classical_period_reference(f: SimonFunction) -> Tuple[BitVec, CostReport]:
+    """Brute-force restatement of the same procedure (per-round full rescan);
+    cross-checks the incremental bookkeeping for small n."""
+    n = f.n
+    size = 1 << n
+    points = [0]
+    values = {f.eval_int(0): 0}
+    distances = {0}
+    loops = 0
+    while len(distances) < size - 1:
+        best_x, best_score = None, -1
+        for x in range(size):
+            if x in points:
+                continue
+            score = sum(1 for d in distances if (x ^ d) not in points)
+            if score > best_score:
+                best_x, best_score = x, score
+        x = best_x
+        loops += 1
+        fx = f.eval_int(x)
+        if fx in values:
+            return BitVec(n, x ^ values[fx]), CostReport(loops, loops + 1)
+        values[fx] = x
+        points.append(x)
+        for p in points:
+            distances.add(x ^ p)
+    (s,) = set(range(size)) - distances
+    return BitVec(n, s), CostReport(loops, loops + 1)
+
+
+def classical_period_per_distance(
+    f: SimonFunction,
+    ledger_hook: Optional[Callable[[QueryLedger], None]] = None,
+) -> Tuple[BitVec, CostReport]:
+    """The incremental procedure with one score update per new distance."""
+    n = f.n
+    size = 1 << n
+    c = np.zeros(size, dtype=np.int64)
+    in_p = np.zeros(size, dtype=bool)
+    in_d = np.zeros(size, dtype=bool)
+    points: List[int] = []
+    distances: List[int] = []
+    seen = {}
+
+    def add_point(x: int) -> None:
+        in_p[x] = True
+        if distances:
+            c[np.bitwise_xor(np.array(distances, dtype=np.int64), x)] += 1
+        points.append(x)
+
+    def add_distance(d: int) -> None:
+        in_d[d] = True
+        if points:
+            c[np.bitwise_xor(np.array(points, dtype=np.int64), d)] += 1
+        distances.append(d)
+
+    seen[f.eval_int(0)] = 0
+    add_point(0)
+    add_distance(0)
+    loops = 0
+    queries = 1
+    while len(distances) < size - 1:
+        scores = np.where(in_p, np.iinfo(np.int64).max, c)
+        x = int(np.argmin(scores))
+        loops += 1
+        queries += 1
+        fx = f.eval_int(x)
+        if fx in seen:
+            s = x ^ seen[fx]
+            if ledger_hook is not None:
+                ledger_hook(QueryLedger(tuple(points), tuple(distances)))
+            return BitVec(n, s), CostReport(loops, queries)
+        seen[fx] = x
+        add_point(x)
+        arr = np.bitwise_xor(np.array(points, dtype=np.int64), x)
+        for d in arr.tolist():
+            if not in_d[d]:
+                add_distance(d)
+        if ledger_hook is not None:
+            ledger_hook(QueryLedger(tuple(points), tuple(distances)))
+    s = int(np.flatnonzero(~in_d)[0])
+    return BitVec(n, s), CostReport(loops, queries)
+
+
+def test_classical_period_ledgers_match_per_distance_updates():
+    for n in range(1, 7):
+        for sv in range(1, 1 << n):
+            f = SimonFunction.from_period(BitVec(n, sv))
+            fast, slow = [], []
+            got = classical_period(f, ledger_hook=fast.append)
+            want = classical_period_per_distance(f, ledger_hook=slow.append)
+            assert got == want and fast == slow
+            assert all(type(v) is int for led in fast for v in led.points + led.distances)

@@ -10,7 +10,6 @@ from noisysimon.simon import SimonFunction
 from noisysimon.solvers import (
     SamplePool,
     classical_period,
-    classical_period_reference,
     expected_pooled_gauss_loops,
     expected_pooled_lsn_loops,
     independence_probability,
@@ -20,6 +19,7 @@ from noisysimon.solvers import (
     runtime_exponent_pooled,
     runtime_exponent_wellpooled,
 )
+from test_hot_path_oracles import classical_period_reference
 
 
 def all_simon_functions(n):
