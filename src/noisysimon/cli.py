@@ -155,10 +155,9 @@ def cmd_measure(args) -> int:
     return 0
 
 
-def _smoothed(args, graph, noise, technique: str) -> MeasurementMultiset:
-    n = args.n
-    f = SimonFunction.default(n)
-    cfg, _ = search_min_configuration(f, graph)
+def _smoothed(args, graph, noise, technique: str, cfg) -> MeasurementMultiset:
+    """One technique's multiset, from the minimum-norm configuration `cfg`."""
+    f = SimonFunction.default(args.n)
     v = choose_hamming_vector(f.s)
     base_seed = args.seed
 
@@ -169,14 +168,16 @@ def _smoothed(args, graph, noise, technique: str) -> MeasurementMultiset:
     def permuted():
         rng = np.random.default_rng([base_seed, 1])
         cfgs = permutation_configurations(f, graph, args.configs, rng, base=cfg)
-        return permutation_smooth(f, graph, cfgs, args.shots, noise, seed=base_seed)
+        return permutation_smooth(
+            f, graph, cfgs, args.shots, noise, seed=base_seed, workers=args.workers
+        )
 
     if technique == "none":
         return raw()
     if technique == "hamming":
         return hamming_smooth(raw(), v)
     if technique == "double-flip":
-        return double_flip(f, graph, cfg, noise, args.shots, seed=base_seed)
+        return double_flip(f, graph, cfg, noise, args.shots, seed=base_seed, workers=args.workers)
     if technique == "permutation":
         return permuted()
     if technique == "permutation/hamming":
@@ -185,7 +186,8 @@ def _smoothed(args, graph, noise, technique: str) -> MeasurementMultiset:
         rng = np.random.default_rng([base_seed, 1])
         cfgs = permutation_configurations(f, graph, args.configs, rng, base=cfg)
         return merge_all([
-            double_flip(f, graph, c, noise, args.shots, seed=base_seed + 91 * k)
+            double_flip(f, graph, c, noise, args.shots, seed=base_seed + 91 * k,
+                        workers=args.workers)
             for k, c in enumerate(cfgs)
         ])
     raise ValueError(f"unknown technique {technique!r}")
@@ -198,9 +200,10 @@ def cmd_smooth(args) -> int:
     f = SimonFunction.default(args.n)
     params = LsnParams(args.n, 0.1, f.s)
     techniques = list(TECHNIQUES) if args.technique == "all" else [args.technique]
+    cfg, _ = search_min_configuration(f, graph)
     rows = []
     for tech in techniques:
-        m = _smoothed(args, graph, noise, tech)
+        m = _smoothed(args, graph, noise, tech, cfg)
         slug = tech.replace("/", "-")
         m.to_csv(out / f"smooth_{slug}_n{args.n}.csv", header=_header(args, {"technique": tech}))
         q = quality_report(m, params)
@@ -366,7 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=20260808)
     parser.add_argument("--out-dir", default="out")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="split each sampling RNG stream into this many sequential chunks "
+                        "seeded (seed, chunk); runs no parallel work, changes the samples")
     parser.add_argument("--topology", default=None, help="topology JSON (default: bundled device)")
     parser.add_argument("--noise", default=None, help="noise JSON (default: bundled calibration)")
     sub = parser.add_subparsers(dest="command", required=True)

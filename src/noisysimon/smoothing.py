@@ -68,13 +68,16 @@ def double_flip(
     noise: NoiseParams,
     shots: int,
     seed=None,
+    workers: int = 1,
 ) -> MeasurementMultiset:
     """Pool a plain run with a flipped-readout run (outcomes re-complemented)."""
     base = compile_simon_circuit(f, graph, config)
     flipped = append_measurement_flips(base)
-    plain = sample_noisy(base, noise, shots, seed=seed)
+    plain = sample_noisy(base, noise, shots, seed=seed, workers=workers)
     ones = (1 << f.n) - 1
-    refl = sample_noisy(flipped, noise, shots, seed=None if seed is None else seed + 1)
+    refl = sample_noisy(
+        flipped, noise, shots, seed=None if seed is None else seed + 1, workers=workers
+    )
     refl = refl.map_outcomes(lambda o: o ^ ones)
     return plain.merge(refl)
 
@@ -117,6 +120,7 @@ def permutation_smooth(
     shots_per_config: int,
     noise: NoiseParams,
     seed=None,
+    workers: int = 1,
 ) -> MeasurementMultiset:
     """Run every configuration and pool the (already logically ordered) outcomes.
 
@@ -132,7 +136,7 @@ def permutation_smooth(
             raise ValueError(
                 f"configuration {k} has norm {cn.value}, not the minimum {min_cn.value}"
             )
-        parts.append(
-            sample_noisy(circ, noise, shots_per_config, seed=None if seed is None else seed + k)
-        )
+        parts.append(sample_noisy(
+            circ, noise, shots_per_config, seed=None if seed is None else seed + k, workers=workers
+        ))
     return merge_all(parts)

@@ -22,10 +22,10 @@ class CapacityError(ValueError):
     """Amplitude array would not fit at desk scale."""
 
 
-def zero_state(width: int) -> np.ndarray:
+def zero_state(width: int, dtype=np.complex128) -> np.ndarray:
     if width > MAX_WIDTH:
         raise CapacityError(f"width {width} exceeds the {MAX_WIDTH}-qubit limit")
-    state = np.zeros(1 << width, dtype=np.complex128)
+    state = np.zeros(1 << width, dtype=dtype)
     state[0] = 1.0
     return state
 
@@ -34,17 +34,21 @@ def _axis(width: int, qubit: int) -> int:
     return width - 1 - qubit
 
 
+# The gate kernels below view the state as (high bits, qubit, low bits) and
+# keep its dtype, so real states stay real.
+
+
 def apply_h(state: np.ndarray, qubit: int, width: int) -> np.ndarray:
-    psi = np.moveaxis(state.reshape([2] * width), _axis(width, qubit), 0)
+    psi = state.reshape(-1, 2, 1 << qubit)
     out = np.empty_like(psi)
-    out[0] = (psi[0] + psi[1]) * _SQRT2_INV
-    out[1] = (psi[0] - psi[1]) * _SQRT2_INV
-    return np.moveaxis(out, 0, _axis(width, qubit)).reshape(-1)
+    np.add(psi[:, 0], psi[:, 1], out=out[:, 0])
+    np.subtract(psi[:, 0], psi[:, 1], out=out[:, 1])
+    out *= _SQRT2_INV
+    return out.reshape(-1)
 
 
 def apply_x(state: np.ndarray, qubit: int, width: int) -> np.ndarray:
-    psi = state.reshape([2] * width)
-    return np.flip(psi, axis=_axis(width, qubit)).reshape(-1)
+    return state.reshape(-1, 2, 1 << qubit)[:, ::-1].reshape(-1)
 
 
 def apply_z(state: np.ndarray, qubit: int, width: int) -> np.ndarray:
@@ -57,22 +61,21 @@ def apply_z(state: np.ndarray, qubit: int, width: int) -> np.ndarray:
 
 def apply_y(state: np.ndarray, qubit: int, width: int) -> np.ndarray:
     psi = np.moveaxis(state.reshape([2] * width), _axis(width, qubit), 0)
-    out = np.empty_like(psi)
+    out = np.empty(psi.shape, np.result_type(psi.dtype, np.complex64))
     out[0] = -1j * psi[1]
     out[1] = 1j * psi[0]
     return np.moveaxis(out, 0, _axis(width, qubit)).reshape(-1)
 
 
 def apply_cnot(state: np.ndarray, control: int, target: int, width: int) -> np.ndarray:
-    psi = state.reshape([2] * width).copy()
-    axc = _axis(width, control)
-    axt = _axis(width, target)
-    idx = [slice(None)] * width
-    idx[axc] = 1
-    sub = psi[tuple(idx)]
-    flip_ax = axt - 1 if axt > axc else axt
-    psi[tuple(idx)] = np.flip(sub, axis=flip_ax)
-    return psi.reshape(-1)
+    hi, lo = max(control, target), min(control, target)
+    psi = state.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    out = psi.copy()
+    if control == hi:
+        out[:, 1, :, 0], out[:, 1, :, 1] = psi[:, 1, :, 1], psi[:, 1, :, 0]
+    else:
+        out[:, 0, :, 1], out[:, 1, :, 1] = psi[:, 1, :, 1], psi[:, 0, :, 1]
+    return out.reshape(-1)
 
 
 PAULI_I, PAULI_X, PAULI_Y, PAULI_Z = 0, 1, 2, 3
@@ -97,7 +100,8 @@ def apply_gate(state: np.ndarray, gate: Gate, width: int) -> np.ndarray:
 
 
 def run_statevector(circuit: Circuit) -> np.ndarray:
-    state = zero_state(circuit.width)
+    """Final state from |0...0>; real, because H, X and CNOT keep it real."""
+    state = zero_state(circuit.width, np.float64)
     for gate in circuit.gates:
         state = apply_gate(state, gate, circuit.width)
     return state
@@ -105,7 +109,10 @@ def run_statevector(circuit: Circuit) -> np.ndarray:
 
 def measured_marginal(state: np.ndarray, measured: Tuple[int, ...], width: int) -> np.ndarray:
     """Born-rule distribution over outcomes; bit k of the outcome is wire measured[k]."""
-    probs = (state.real**2 + state.imag**2).reshape([2] * width)
+    probs = state.real**2
+    if np.iscomplexobj(state):
+        probs += state.imag**2
+    probs = probs.reshape([2] * width)
     keep = [_axis(width, q) for q in measured]
     other = tuple(a for a in range(width) if a not in set(keep))
     if other:

@@ -20,6 +20,7 @@ target wire.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import itertools
 import json
@@ -358,6 +359,30 @@ def _interaction_edges(circuit: Circuit) -> FrozenSet[Tuple[str, str]]:
     return frozenset(edges)
 
 
+def _has_distinct_choice(options: List[int]) -> bool:
+    """True iff every bitmask in `options` can contribute a different bit
+    (a matching that covers all of them, grown by augmenting paths)."""
+    owner: Dict[int, int] = {}  # bit -> index of the option holding it
+
+    def augment(i: int) -> bool:
+        nonlocal seen
+        free = options[i] & ~seen
+        while free:
+            bit = free & -free
+            free ^= bit
+            seen |= bit
+            if bit not in owner or augment(owner[bit]):
+                owner[bit] = i
+                return True
+        return False
+
+    for i in range(len(options)):
+        seen = 0
+        if not augment(i):
+            return False
+    return True
+
+
 def _embeddings(
     nodes: List[str],
     edges: FrozenSet[Tuple[str, str]],
@@ -366,19 +391,25 @@ def _embeddings(
     """All injective node->vertex maps sending every edge to a device edge,
     enumerated lexicographically in the fixed node order.
 
-    Forward checking (VF2-style feasibility pruning, Cordella et al. 2004):
-    right after a node is placed, each unplaced interaction neighbour must
-    keep a free vertex adjacent to all its placed neighbours, or the branch
-    is dropped. Candidate sets only shrink as nodes are placed, so a dropped
-    branch holds no embedding; candidates are still tried in ascending vertex
-    order, so the embeddings come out in the same order as without the check.
-    Vertex sets are int bitmasks.
+    Matching look-ahead: right after a node is placed, the unplaced nodes
+    with a placed interaction neighbour must be able to take *distinct* free
+    vertices, each adjacent to all its placed neighbours (Hall's condition,
+    checked by augmenting paths), or the branch is dropped. Candidate sets
+    only shrink as nodes are placed, so a dropped branch holds no embedding;
+    candidates are still tried in ascending vertex order, so the embeddings
+    come out in the same order as without the check. Vertex sets are int
+    bitmasks.
     """
     adj = [sum(1 << u for u in nbrs) for _, nbrs in sorted(graph.adjacency().items())]
     index = {node: k for k, node in enumerate(nodes)}
     neighbors = [
         [index[other] for e in edges for other in e if node in e and other != node]
         for node in nodes
+    ]
+    # frontier[k]: unplaced nodes with a neighbour among nodes 0..k
+    frontier = [
+        [m for m in range(k + 1, len(nodes)) if any(j <= k for j in neighbors[m])]
+        for k in range(len(nodes))
     ]
     place = [-1] * len(nodes)
 
@@ -399,7 +430,7 @@ def _embeddings(
             bit = candidates & -candidates
             candidates ^= bit
             place[k] = bit.bit_length() - 1
-            if all(place[m] >= 0 or free_common(m, used | bit) for m in neighbors[k]):
+            if _has_distinct_choice([free_common(m, used | bit) for m in frontier[k]]):
                 yield from backtrack(k + 1, used | bit)
         place[k] = -1
 
@@ -418,6 +449,13 @@ def _fill_free_vertices(
     return Configuration.from_dict(assign)
 
 
+@functools.lru_cache(maxsize=64)
+def _optimized_logical(f: SimonFunction) -> Circuit:
+    """The optimized logical circuit of f, built once per distinct f (both
+    are frozen, so callers can share the result)."""
+    return peephole_optimize(build_simon_circuit(f))
+
+
 def compile_simon_circuit(
     f: SimonFunction, graph: TopologyGraph, config: Configuration
 ) -> Circuit:
@@ -426,8 +464,7 @@ def compile_simon_circuit(
     Optimizing before layout keeps the router away from wires the rewriter
     is about to delete anyway (the redundant copy of the control wire).
     """
-    logical = peephole_optimize(build_simon_circuit(f))
-    return peephole_optimize(route(logical, graph, config))
+    return peephole_optimize(route(_optimized_logical(f), graph, config))
 
 
 def _search(
@@ -435,7 +472,7 @@ def _search(
 ) -> Tuple[List[Configuration], CircuitNorm]:
     if 2 * f.n > graph.n:
         raise CapacityError(f"need {2 * f.n} wires but the device has {graph.n}")
-    logical = peephole_optimize(build_simon_circuit(f))
+    logical = _optimized_logical(f)
     nodes = sorted((logical.label_of(w) for w in range(logical.width)), key=_label_key)
     edges = _interaction_edges(logical)
     all_labels = simon_wire_labels(f.n)

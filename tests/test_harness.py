@@ -2,7 +2,7 @@ import csv
 import json
 from pathlib import Path
 
-from noisysimon.cli import main
+from noisysimon.cli import TECHNIQUES, main
 from noisysimon.multiset import MeasurementMultiset
 
 
@@ -74,6 +74,18 @@ def test_smooth_all_produces_quality_table(tmp_path):
     for tech in techniques:
         slug = tech.replace("/", "-")
         assert (tmp_path / f"smooth_{slug}_n5.csv").exists()
+
+
+def test_smooth_honours_workers_in_every_row(tmp_path):
+    for workers in (1, 2):
+        assert main(["--out-dir", str(tmp_path / f"w{workers}"), "--workers", str(workers),
+                     "smooth", "--n", "3", "--shots", "512", "--configs", "4"]) == 0
+    for tech in TECHNIQUES:
+        slug = tech.replace("/", "-")
+        one, two = (MeasurementMultiset.from_csv(tmp_path / w / f"smooth_{slug}_n3.csv")
+                    for w in ("w1", "w2"))
+        assert one.total == two.total
+        assert one.counts != two.counts, tech
 
 
 def test_stats_command(tmp_path):

@@ -3,13 +3,16 @@
 `reference_sample_chunk` is the sampler as a loop over single fault events,
 with the fault masks propagated as Python ints; the library's table-driven
 sampler must return the same outcomes and leave its generator in the same
-state. `reference_embeddings` is the placement search without forward
-checking; the library's search must emit the same embeddings in the same
-order, and networkx's VF2 matcher must count as many.
+state. `reference_embeddings` is the placement search without look-ahead;
+the library's search must emit the same embeddings in the same order, and
+networkx's VF2 matcher must count as many.
 `reference_echelon` and `reference_solve_full_rank` are the eliminations with
 a separate back-substitution pass; the library's one-pass Gauss-Jordan forms
 must give the same basis and the same solution, and the nullspace must span
 exactly the brute-force nullspace.
+`reference_exact_distribution` is the complex-amplitude statevector (moved
+axes, complex128 from |0...0>); the library's real-valued kernels must give
+byte-identical outcome distributions.
 `classical_period_per_distance` is the optimal classical period finder with
 one score update per new distance; the library's batched updates must give
 the same ledgers, period and cost. `classical_period_reference` restates it
@@ -24,12 +27,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
+import math
 from typing import Callable, List, Optional, Tuple
 
-from noisysimon.circuits import CNOT, Circuit, Gate, H, X, build_simon_circuit
+from noisysimon.circuits import (
+    CNOT,
+    Circuit,
+    Gate,
+    H,
+    X,
+    append_measurement_flips,
+    build_simon_circuit,
+)
 from noisysimon.gf2 import BitVec, _echelon, nullspace_ints
 from noisysimon.noise import NoiseParams, _sample_chunk
 from noisysimon.simon import SimonFunction
+from noisysimon.smoothing import permutation_configurations
 from noisysimon.solvers import CostReport, QueryLedger, _solve_full_rank, classical_period
 from noisysimon.statevector import exact_output_distribution
 from noisysimon.transpile import (
@@ -37,7 +50,9 @@ from noisysimon.transpile import (
     _embeddings,
     _interaction_edges,
     _label_key,
+    compile_simon_circuit,
     peephole_optimize,
+    search_min_configuration,
 )
 
 # ---------------------------------------------------------------------------
@@ -119,8 +134,8 @@ def reference_sample_chunk(circuit, noise, shots, rng):
 
 
 @st.composite
-def circuits(draw):
-    width = draw(st.integers(1, 8))
+def circuits(draw, max_width=8):
+    width = draw(st.integers(1, max_width))
     wire = st.integers(0, width - 1)
     one_qubit = st.builds(Gate, st.sampled_from([H, X]), wire)
     pairs = st.tuples(wire, wire).filter(lambda p: p[0] != p[1])
@@ -154,6 +169,91 @@ def test_sampler_matches_per_event_reference(circuit, noise, shots, seed):
     slow = reference_sample_chunk(circuit, noise, shots, slow_rng)
     assert fast.dtype == slow.dtype and np.array_equal(fast, slow)
     assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# Exact distribution
+
+
+_SQRT2_INV = 1.0 / math.sqrt(2.0)
+
+
+def _axis(width, qubit):
+    return width - 1 - qubit
+
+
+def reference_apply_h(state, qubit, width):
+    psi = np.moveaxis(state.reshape([2] * width), _axis(width, qubit), 0)
+    out = np.empty_like(psi)
+    out[0] = (psi[0] + psi[1]) * _SQRT2_INV
+    out[1] = (psi[0] - psi[1]) * _SQRT2_INV
+    return np.moveaxis(out, 0, _axis(width, qubit)).reshape(-1)
+
+
+def reference_apply_x(state, qubit, width):
+    psi = state.reshape([2] * width)
+    return np.flip(psi, axis=_axis(width, qubit)).reshape(-1)
+
+
+def reference_apply_cnot(state, control, target, width):
+    psi = state.reshape([2] * width).copy()
+    axc = _axis(width, control)
+    axt = _axis(width, target)
+    idx = [slice(None)] * width
+    idx[axc] = 1
+    sub = psi[tuple(idx)]
+    flip_ax = axt - 1 if axt > axc else axt
+    psi[tuple(idx)] = np.flip(sub, axis=flip_ax)
+    return psi.reshape(-1)
+
+
+def reference_measured_marginal(state, measured, width):
+    probs = (state.real**2 + state.imag**2).reshape([2] * width)
+    keep = [_axis(width, q) for q in measured]
+    other = tuple(a for a in range(width) if a not in set(keep))
+    if other:
+        probs = probs.sum(axis=other)
+    if not measured:
+        return probs.reshape(1)
+    sorted_keep = sorted(keep)
+    pos = {a: i for i, a in enumerate(sorted_keep)}
+    perm = [pos[_axis(width, q)] for q in reversed(measured)]
+    return probs.transpose(perm).reshape(-1)
+
+
+def reference_exact_distribution(circuit):
+    width = circuit.width
+    state = np.zeros(1 << width, dtype=np.complex128)
+    state[0] = 1.0
+    for g in circuit.gates:
+        if g.kind == H:
+            state = reference_apply_h(state, g.target, width)
+        elif g.kind == X:
+            state = reference_apply_x(state, g.target, width)
+        else:
+            state = reference_apply_cnot(state, g.control, g.target, width)
+    return reference_measured_marginal(state, circuit.measured, width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuits(max_width=10))
+def test_exact_distribution_matches_complex_reference(circuit):
+    got = exact_output_distribution(circuit)
+    assert got.dtype == np.float64
+    assert got.tobytes() == reference_exact_distribution(circuit).tobytes()
+
+
+def test_exact_distribution_matches_complex_reference_on_compiled_circuits(graph):
+    for n in range(2, 8):
+        f = SimonFunction.default(n)
+        base, _ = search_min_configuration(f, graph)
+        configs = permutation_configurations(f, graph, 50, np.random.default_rng(n), base=base)
+        for cfg in configs:
+            circ = compile_simon_circuit(f, graph, cfg)
+            for c in (circ, append_measurement_flips(circ)):
+                assert exact_output_distribution(c).tobytes() == (
+                    reference_exact_distribution(c).tobytes()
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -217,28 +317,54 @@ def test_embeddings_count_matches_vf2_on_device(graph):
 
 
 def test_embeddings_sequence_matches_unpruned_search_on_device(graph):
-    for n in range(2, 6):
+    # prefixes from n=5 on: n=5 alone has 452,448 embeddings
+    for n, limit in ((2, None), (3, None), (4, None), (5, 20_000), (6, 20_000), (7, 5_000)):
         nodes, edges = simon_pattern(n)
-        limit = None if n < 5 else 20_000
         fast = list(itertools.islice(_embeddings(nodes, edges, graph), limit))
         slow = list(itertools.islice(reference_embeddings(nodes, edges, graph), limit))
         assert fast == slow and fast
 
 
+def random_device(rng, low, high, density):
+    n_dev = int(rng.integers(low, high))
+    dev_edges = [e for e in itertools.combinations(range(n_dev), 2) if rng.random() < density]
+    return TopologyGraph.from_edges(n_dev, dev_edges)
+
+
+def assert_embeddings_match_references(nodes, edges, graph):
+    fast = list(_embeddings(nodes, edges, graph))
+    assert fast == list(reference_embeddings(nodes, edges, graph))
+    assert len(fast) == vf2_count(nodes, edges, graph)
+
+
 def test_embeddings_match_references_on_random_graphs():
     rng = np.random.default_rng(20260808)
     for _ in range(60):
-        n_dev = int(rng.integers(3, 9))
-        dev_edges = [e for e in itertools.combinations(range(n_dev), 2) if rng.random() < 0.45]
-        graph = TopologyGraph.from_edges(n_dev, dev_edges)
-        k = int(rng.integers(1, min(n_dev, 5) + 1))
+        graph = random_device(rng, 3, 9, 0.45)
+        k = int(rng.integers(1, min(graph.n, 5) + 1))
         nodes = [f"p{i}" for i in range(k)]
         edges = frozenset(
             (a, b) for a, b in itertools.combinations(nodes, 2) if rng.random() < 0.5
         )
-        fast = list(_embeddings(nodes, edges, graph))
-        assert fast == list(reference_embeddings(nodes, edges, graph))
-        assert len(fast) == vf2_count(nodes, edges, graph)
+        assert_embeddings_match_references(nodes, edges, graph)
+
+
+def test_embeddings_match_references_with_competing_pendants():
+    # Pendant nodes hung on the same placed nodes compete for the free
+    # vertices around them; this is where distinct choices matter and a
+    # per-node check is not enough.
+    rng = np.random.default_rng(20260809)
+    for _ in range(60):
+        graph = random_device(rng, 5, 10, 0.35)
+        k = int(rng.integers(3, min(graph.n, 7) + 1))
+        hubs = int(rng.integers(1, 3))
+        nodes = [f"p{i}" for i in range(k)]
+        edges = {(nodes[0], nodes[1])} if hubs == 2 else set()
+        for leaf in nodes[hubs:]:
+            for hub in nodes[:hubs]:
+                if hub == nodes[0] or rng.random() < 0.5:
+                    edges.add((hub, leaf))
+        assert_embeddings_match_references(nodes, frozenset(edges), graph)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,19 @@ def test_statevector_norm_after_simon_circuit():
     assert abs(np.linalg.norm(state) - 1.0) < 1e-10
 
 
+def test_pauli_y_on_real_statevector_matches_complex_state():
+    from noisysimon.statevector import PAULI_Y, apply_pauli
+
+    circ = build_simon_circuit(SimonFunction.default(3))
+    real = run_statevector(circ)
+    assert real.dtype == np.float64
+    for q in range(circ.width):
+        got = apply_pauli(real, PAULI_Y, q, circ.width)
+        want = apply_pauli(real.astype(np.complex128), PAULI_Y, q, circ.width)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, want)
+
+
 def test_noiseless_sampling_matches_exact_distribution(compiled):
     for n in (2, 5, 7):
         _, _, _, circ = compiled[n]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from noisysimon.circuits import CNOT, Circuit, Gate, H, build_simon_circuit
+from noisysimon.gf2 import BitVec
 from noisysimon.simon import SimonFunction
 from noisysimon.statevector import circuits_equivalent
 from noisysimon.transpile import (
@@ -152,6 +153,33 @@ def test_enumerated_configs_all_attain_minimum(graph):
     for cfg in configs[:10]:
         assert circuit_norm(compile_simon_circuit(f, graph, cfg)).value == TABLE_CN[4]
     assert len({c.items for c in configs}) == 40
+
+
+def test_logical_circuit_is_optimized_once_per_function(graph, monkeypatch):
+    import noisysimon.transpile as transpile
+
+    calls = []
+
+    def counting(circuit):
+        calls.append(circuit)
+        return peephole_optimize(circuit)
+
+    monkeypatch.setattr(transpile, "peephole_optimize", counting)
+    transpile._optimized_logical.cache_clear()
+    try:
+        f = SimonFunction.default(5)
+        cfg = Configuration.naive(5)
+        first = compile_simon_circuit(f, graph, cfg)
+        for _ in range(49):
+            assert compile_simon_circuit(f, graph, cfg) == first
+        assert len(calls) == 51  # one logical optimization, then one per routed circuit
+        twin = SimonFunction(5, BitVec(5, 0b11), 0)
+        assert twin is not f and twin == f
+        compile_simon_circuit(twin, graph, cfg)
+        assert len(calls) == 52
+        assert transpile._optimized_logical.cache_info().currsize == 1
+    finally:
+        transpile._optimized_logical.cache_clear()
 
 
 def test_search_limit_one_is_singleton(graph):
