@@ -71,6 +71,7 @@ from .reductions import (
     lpn_samples_from_csv,
     lpn_samples_to_csv,
     lsn_sample_to_lpn,
+    lsn_samples_to_lpn,
     solve_lpn_via_lsn,
     solve_lsn_via_lpn,
 )

@@ -9,12 +9,13 @@ compose through files only.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -26,10 +27,9 @@ from .multiset import MeasurementMultiset, merge_all
 from .noise import NoiseParams, default_noise, sample_noisy
 from .reductions import (
     LpnSample,
+    chi_square_check,
     lpn_model_distribution,
-    lpn_projection_counts,
-    lsn_projection_counts,
-    lsn_sample_to_lpn,
+    lsn_samples_to_lpn,
     transformed_lpn_distribution,
     transformed_lsn_distribution,
 )
@@ -48,7 +48,7 @@ from .solvers import (
     pooled_lsn,
     majority_verifier,
 )
-from .stats import chi_square_gof, quality_report
+from .stats import quality_report
 from .statevector import circuits_equivalent
 from .transpile import (
     Configuration,
@@ -155,42 +155,47 @@ def cmd_measure(args) -> int:
     return 0
 
 
-def _smoothed(args, graph, noise, technique: str, cfg) -> MeasurementMultiset:
-    """One technique's multiset, from the minimum-norm configuration `cfg`."""
+def _smoothed(args, graph, noise, cfg) -> Dict[str, Callable[[], MeasurementMultiset]]:
+    """Technique name -> the function making its multiset, from the
+    minimum-norm configuration `cfg`.
+
+    The permutation configurations and the raw and permuted multisets are
+    made at most once, and the Hamming rows shift the latter two, so
+    `--technique all` samples each of them once.
+    """
     f = SimonFunction.default(args.n)
     v = choose_hamming_vector(f.s)
-    base_seed = args.seed
+    seed, shots, workers = args.seed, args.shots, args.workers
 
+    @functools.cache
+    def configs():
+        rng = np.random.default_rng([seed, 1])
+        return permutation_configurations(f, graph, args.configs, rng, base=cfg)
+
+    @functools.cache
     def raw():
         circ = compile_simon_circuit(f, graph, cfg)
-        return sample_noisy(circ, noise, args.shots, seed=base_seed, workers=args.workers)
+        return sample_noisy(circ, noise, shots, seed=seed, workers=workers)
 
+    @functools.cache
     def permuted():
-        rng = np.random.default_rng([base_seed, 1])
-        cfgs = permutation_configurations(f, graph, args.configs, rng, base=cfg)
-        return permutation_smooth(
-            f, graph, cfgs, args.shots, noise, seed=base_seed, workers=args.workers
-        )
+        return permutation_smooth(f, graph, configs(), shots, noise, seed=seed, workers=workers)
 
-    if technique == "none":
-        return raw()
-    if technique == "hamming":
-        return hamming_smooth(raw(), v)
-    if technique == "double-flip":
-        return double_flip(f, graph, cfg, noise, args.shots, seed=base_seed, workers=args.workers)
-    if technique == "permutation":
-        return permuted()
-    if technique == "permutation/hamming":
-        return hamming_smooth(permuted(), v)
-    if technique == "permutation/double-flip":
-        rng = np.random.default_rng([base_seed, 1])
-        cfgs = permutation_configurations(f, graph, args.configs, rng, base=cfg)
+    def permuted_double_flip():
         return merge_all([
-            double_flip(f, graph, c, noise, args.shots, seed=base_seed + 91 * k,
-                        workers=args.workers)
-            for k, c in enumerate(cfgs)
+            double_flip(f, graph, c, noise, shots, seed=seed + 91 * k, workers=workers)
+            for k, c in enumerate(configs())
         ])
-    raise ValueError(f"unknown technique {technique!r}")
+
+    return {
+        "none": raw,
+        "permutation": permuted,
+        "double-flip": lambda: double_flip(f, graph, cfg, noise, shots, seed=seed,
+                                           workers=workers),
+        "permutation/double-flip": permuted_double_flip,
+        "hamming": lambda: hamming_smooth(raw(), v),
+        "permutation/hamming": lambda: hamming_smooth(permuted(), v),
+    }
 
 
 def cmd_smooth(args) -> int:
@@ -201,9 +206,10 @@ def cmd_smooth(args) -> int:
     params = LsnParams(args.n, 0.1, f.s)
     techniques = list(TECHNIQUES) if args.technique == "all" else [args.technique]
     cfg, _ = search_min_configuration(f, graph)
+    smoothed = _smoothed(args, graph, noise, cfg)
     rows = []
     for tech in techniques:
-        m = _smoothed(args, graph, noise, tech, cfg)
+        m = smoothed[tech]()
         slug = tech.replace("/", "-")
         m.to_csv(out / f"smooth_{slug}_n{args.n}.csv", header=_header(args, {"technique": tech}))
         q = quality_report(m, params)
@@ -293,24 +299,9 @@ def cmd_reduction_check(args) -> int:
         zv = 0
         while BitVec(args.n, zv).inner(s) != 1:
             zv = int(rng.integers(0, 1 << args.n))
-        z = BitVec(args.n, zv)
-        ys = sample_many(params, args.samples, rng)
-        b = rng.integers(0, 2, size=ys.size)
-        a = ys ^ (b * z.value)
-        samples = [LpnSample(BitVec(args.n, int(av)), int(bv)) for av, bv in zip(a, b)]
-        cells, probs = lpn_projection_counts(samples, params, k=8)
-        _, p1 = chi_square_gof(cells, probs)
-        rows.append(["to-parity", "chi-square", f"{p1:.4f}", "p>0.01", "PASS" if p1 > 0.01 else "FAIL"])
-        av = rng.integers(0, 1 << args.n, size=args.samples)
-        eps = rng.random(args.samples) < args.tau
-        par = av & s.value
-        for sh in (32, 16, 8, 4, 2, 1):
-            par ^= par >> sh
-        bv = (par & 1) ^ eps
-        yv = av ^ (bv * z.value)
-        cells2, probs2 = lsn_projection_counts(yv, params, k=8)
-        _, p2 = chi_square_gof(cells2, probs2)
-        rows.append(["to-subspace", "chi-square", f"{p2:.4f}", "p>0.01", "PASS" if p2 > 0.01 else "FAIL"])
+        p_values = chi_square_check(params, BitVec(args.n, zv), args.samples, rng)
+        for direction, p in zip(("to-parity", "to-subspace"), p_values):
+            rows.append([direction, "chi-square", f"{p:.4f}", "p>0.01", "PASS" if p > 0.01 else "FAIL"])
     _write_csv(
         out / "reduction_check.csv",
         _header(args),
@@ -335,13 +326,12 @@ def cmd_solve(args) -> int:
         )
         s, cost = pooled_lsn(f, pool, rng)
     elif args.algorithm == "pooled-gauss":
-        pool_params = LsnParams(n, tau, f.s)
-        ys = [BitVec(n, int(v)) for v in sample_many(pool_params, args.pool_size, rng)]
+        ys = sample_many(LsnParams(n, tau, f.s), args.pool_size, rng)
         zv = 0
         while BitVec(n, zv).inner(f.s) != 1:
             zv = int(rng.integers(0, 1 << n))
-        z = BitVec(n, zv)
-        samples = [lsn_sample_to_lpn(y, z, rng) for y in ys]
+        a, b = lsn_samples_to_lpn(ys, BitVec(n, zv), rng)
+        samples = [LpnSample(BitVec(n, av), bv) for av, bv in zip(a.tolist(), b.tolist())]
         held = samples[: max(128, 4 * n)]
         body = samples[len(held):]
         s, cost = pooled_gauss_lpn(body, majority_verifier(held, tau), rng)

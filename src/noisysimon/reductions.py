@@ -14,8 +14,9 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gf2 import BitVec, DimensionError, rank_ints
-from .lsn import LsnParams, model_distribution
+from .gf2 import BitVec, DimensionError, parity, rank_ints
+from .lsn import LsnParams, model_distribution, sample_many
+from .stats import chi_square_gof
 
 
 class SolveFailure(RuntimeError):
@@ -55,6 +56,18 @@ def lsn_sample_to_lpn(y: BitVec, z: BitVec, rng: np.random.Generator) -> LpnSamp
     b = int(rng.integers(0, 2))
     a = y ^ z if b else y
     return LpnSample(a, b)
+
+
+def lsn_samples_to_lpn(
+    ys: np.ndarray, z: BitVec, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Arrays (a, b) with a = y + b z, for all samples `ys` at once.
+
+    Draws the same bits, and leaves `rng` in the same state, as one
+    `lsn_sample_to_lpn` call per sample in order.
+    """
+    b = rng.integers(0, 2, size=len(ys))
+    return np.asarray(ys, dtype=np.int64) ^ (b * z.value), b
 
 
 def lpn_sample_to_lsn(sample: LpnSample, z: BitVec) -> BitVec:
@@ -167,8 +180,18 @@ def projection_functionals(n: int, k: int, exclude: Optional[BitVec] = None) -> 
     raise ValueError(f"cannot find {k} independent functionals")
 
 
-def _parity(v: int) -> int:
-    return bin(v).count("1") & 1
+def _projection_counts(
+    err: np.ndarray, x: np.ndarray, params: LsnParams, k: int, exclude: Optional[BitVec]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Counts of the cells (err bit, k-bit projection of x) and their model
+    probabilities."""
+    idx = (np.asarray(err, dtype=np.int64) & 1) << k
+    for i, u in enumerate(projection_functionals(params.n, k, exclude=exclude)):
+        idx |= parity(x & u).astype(np.int64) << i
+    probs = np.empty(2 << k)
+    probs[: 1 << k] = (1.0 - params.tau) / (1 << k)
+    probs[1 << k :] = params.tau / (1 << k)
+    return np.bincount(idx, minlength=2 << k), probs
 
 
 def lsn_projection_counts(
@@ -176,34 +199,37 @@ def lsn_projection_counts(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Bucket samples by (orthogonality bit, k-bit projection); return
     (counts, expected probabilities) for a goodness-of-fit test."""
-    funcs = projection_functionals(params.n, k, exclude=params.s)
-    cells = np.zeros(2 << k, dtype=np.int64)
-    for y in np.asarray(outcomes, dtype=np.int64):
-        e = _parity(int(y) & params.s.value)
-        idx = 0
-        for i, u in enumerate(funcs):
-            idx |= _parity(int(y) & u) << i
-        cells[(e << k) | idx] += 1
-    probs = np.empty(2 << k)
-    probs[: 1 << k] = (1.0 - params.tau) / (1 << k)
-    probs[1 << k :] = params.tau / (1 << k)
-    return cells, probs
+    y = np.asarray(outcomes, dtype=np.int64)
+    return _projection_counts(parity(y & params.s.value), y, params, k, params.s)
+
+
+def _lpn_counts(a: np.ndarray, b: np.ndarray, params: LsnParams, k: int):
+    return _projection_counts(parity(a & params.s.value) ^ b, a, params, k, None)
 
 
 def lpn_projection_counts(
     samples: Sequence[LpnSample], params: LsnParams, k: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Bucket parity samples by (label error, k-bit projection of a)."""
-    funcs = projection_functionals(params.n, k)
-    cells = np.zeros(2 << k, dtype=np.int64)
-    s = params.s.value
-    for a, b in samples:
-        e = (_parity(a.value & s) ^ b) & 1
-        idx = 0
-        for i, u in enumerate(funcs):
-            idx |= _parity(a.value & u) << i
-        cells[(e << k) | idx] += 1
-    probs = np.empty(2 << k)
-    probs[: 1 << k] = (1.0 - params.tau) / (1 << k)
-    probs[1 << k :] = params.tau / (1 << k)
-    return cells, probs
+    a = np.fromiter((x.a.value for x in samples), np.int64, len(samples))
+    b = np.fromiter((x.b for x in samples), np.int64, len(samples))
+    return _lpn_counts(a, b, params, k)
+
+
+def chi_square_check(
+    params: LsnParams, z: BitVec, samples: int, rng: np.random.Generator
+) -> Tuple[float, float]:
+    """Chi-square p-values (to parity, to subspace) of both transforms with z.
+
+    To parity: `samples` model samples become (y + b z, b). To subspace: as
+    many parity-oracle samples (uniform a, label <a, s> flipped with
+    probability tau) become a + b z. Each side is bucketed by its error bit
+    and a projection onto min(8, n - 1) coordinates.
+    """
+    n, k = params.n, min(8, params.n - 1)
+    a, b = lsn_samples_to_lpn(sample_many(params, samples, rng), z, rng)
+    _, p_parity = chi_square_gof(*_lpn_counts(a, b, params, k))
+    a = rng.integers(0, 1 << n, size=samples)
+    b = parity(a & params.s.value).astype(np.int64) ^ (rng.random(samples) < params.tau)
+    _, p_subspace = chi_square_gof(*lsn_projection_counts(a ^ (b * z.value), params, k))
+    return p_parity, p_subspace

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from .lsn import LsnParams, estimate_tau, model_distribution
 from .multiset import EmptyMultisetError, MeasurementMultiset
@@ -68,10 +67,19 @@ def quality_report(m: MeasurementMultiset, params: LsnParams) -> QualityReport:
 
     The model reference is rebuilt at tau estimated from this very multiset
     (params.tau is ignored), mirroring how the model overlays are drawn.
+    KL(model || empirical) is infinite when the model supports an outcome the
+    multiset never saw, so a multiset too sparse for its model raises
+    `DivergenceError`, saying how many such outcomes there are.
     """
     tau_hat = estimate_tau(m, params.s)
     model = model_distribution(params.with_tau(tau_hat))
     emp = empirical_distribution(m)
+    unseen = int(np.count_nonzero((model > 0) & (emp == 0)))
+    if unseen:
+        raise DivergenceError(
+            f"KL is infinite: {unseen} of the {np.count_nonzero(model > 0)} outcomes the model "
+            f"supports never occur in the {m.total} shots; sample more shots (--shots)"
+        )
     return QualityReport(
         kl=kl_divergence(model, emp),
         kolmogorov=kolmogorov_distance(model, emp),
@@ -80,14 +88,22 @@ def quality_report(m: MeasurementMultiset, params: LsnParams) -> QualityReport:
 
 
 def chi_square_gof(counts: np.ndarray, expected_probs: np.ndarray) -> tuple[float, float]:
-    """Pearson goodness-of-fit statistic and p-value (df = cells - 1)."""
+    """Pearson goodness-of-fit statistic and p-value (df = cells - 1).
+
+    scipy is imported here, not at module level: this is the package's only
+    use of it, and `import noisysimon` would otherwise take about a second
+    longer for every command. `chdtrc` is the tail `scipy.stats.chi2.sf`
+    evaluates, at half the import cost of `scipy.stats`.
+    """
+    from scipy.special import chdtrc
+
     counts = np.asarray(counts, dtype=float)
     expected = _check_distribution(expected_probs) * counts.sum()
     if np.any(expected == 0):
         raise ValueError("expected count of zero; merge cells first")
     stat = float(np.sum((counts - expected) ** 2 / expected))
     df = counts.size - 1
-    return stat, float(chi2.sf(stat, df))
+    return stat, float(chdtrc(df, stat))
 
 
 def kl_sampling_floor(n_outcomes: int, shots: int) -> float:

@@ -17,10 +17,8 @@ from noisysimon.gf2 import BitVec, nullspace_period, orthogonal_basis, rank
 from noisysimon.lsn import LsnParams, estimate_tau, model_distribution, sample_many
 from noisysimon.noise import sample_noisy
 from noisysimon.reductions import (
-    LpnSample,
+    chi_square_check,
     lpn_model_distribution,
-    lpn_projection_counts,
-    lsn_projection_counts,
     transformed_lpn_distribution,
     transformed_lsn_distribution,
 )
@@ -44,7 +42,7 @@ from noisysimon.statevector import (
     circuits_equivalent,
     exact_output_distribution,
 )
-from noisysimon.stats import chi_square_gof, quality_report
+from noisysimon.stats import quality_report
 from noisysimon.transpile import (
     Configuration,
     circuit_norm,
@@ -121,22 +119,9 @@ def test_c4_reduction_exactness_and_statistics():
                 worst = max(worst, float(np.max(np.abs(bwd - lsn_target))))
     assert worst < 1e-12, f"max deviation {worst}"
 
-    n, tau = 16, 0.1
-    s = BitVec(n, 0b11)
-    params = LsnParams(n, tau, s)
+    params = LsnParams(16, 0.1, BitVec(16, 0b11))
     rng = np.random.default_rng(SEED)
-    z = BitVec(n, 0b101)
-    ys = sample_many(params, 100_000, rng)
-    b = rng.integers(0, 2, size=ys.size)
-    samples = [LpnSample(BitVec(n, int(av)), int(bv)) for av, bv in zip(ys ^ (b * z.value), b)]
-    _, p1 = chi_square_gof(*lpn_projection_counts(samples, params, k=8))
-    av = rng.integers(0, 1 << n, size=100_000)
-    eps = rng.random(100_000) < tau
-    par = av & s.value
-    for sh in (32, 16, 8, 4, 2, 1):
-        par ^= par >> sh
-    bv = (par & 1) ^ eps
-    _, p2 = chi_square_gof(*lsn_projection_counts(av ^ (bv * z.value), params, k=8))
+    p1, p2 = chi_square_check(params, BitVec(16, 0b101), 100_000, rng)
     assert p1 > 0.01 and p2 > 0.01, (p1, p2)
     print(f"PASS criterion 4: transforms exact to {worst:.1e} (n<=4); chi-square p={p1:.3f}/{p2:.3f} at n=16")
 

@@ -1,7 +1,15 @@
 import csv
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import noisysimon
+from noisysimon import cli, smoothing
 from noisysimon.cli import TECHNIQUES, main
 from noisysimon.multiset import MeasurementMultiset
 
@@ -76,6 +84,62 @@ def test_smooth_all_produces_quality_table(tmp_path):
         assert (tmp_path / f"smooth_{slug}_n5.csv").exists()
 
 
+# sha256 of `smooth --n 5 --shots 2048 --configs 12` at the default seed, from
+# the implementation that sampled every row on its own.
+SMOOTH_ALL_N5 = {
+    "quality_n5.csv": "58648c6e053cbfe3307ff67e8caa92151852dd3dc2e1635569cfe4231c34544c",
+    "smooth_double-flip_n5.csv": "ac26affd8a9f72db218cde5a9354fb952b61c3700f6873076a0e1d430c07a9ea",
+    "smooth_hamming_n5.csv": "cc45a60197d47ee65e8d7a5ae19b88c7d1539a21b5aa5dcda4c112460d1fe025",
+    "smooth_none_n5.csv": "77dd801302360b0ad9287143d3dee1c594b4bd00443b972fbf6f41dfc08cff69",
+    "smooth_permutation-double-flip_n5.csv":
+        "ce3982eae67628d627852123bd00355daca148beb9ffb3a9ccb592ac15832714",
+    "smooth_permutation-hamming_n5.csv":
+        "83a5ad817057b119631bec60bb6b26c37dfdcabc4519b87040f40531dfc2b726",
+    "smooth_permutation_n5.csv": "0967469947c6d78da9e708a587652174843d12f7551b491f203aa1932aab5c5a",
+}
+
+
+def _without_config(text):
+    return [line for line in text.splitlines() if not line.startswith("# config=")]
+
+
+def test_smooth_all_matches_single_technique_runs(tmp_path):
+    opts = ["smooth", "--n", "5", "--shots", "2048", "--configs", "12"]
+    assert main(["--out-dir", str(tmp_path / "all")] + opts) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "all").iterdir()}
+    assert written == SMOOTH_ALL_N5
+    quality = []
+    for tech in TECHNIQUES:
+        one = tmp_path / tech.replace("/", "-")
+        assert main(["--out-dir", str(one)] + opts + ["--technique", tech]) == 0
+        name = f"smooth_{tech.replace('/', '-')}_n5.csv"
+        # the option hash differs (--technique); every other byte is the same
+        assert (_without_config((one / name).read_text())
+                == _without_config((tmp_path / "all" / name).read_text()))
+        quality += _without_config((one / "quality_n5.csv").read_text())[-1:]
+    assert quality == _without_config((tmp_path / "all" / "quality_n5.csv").read_text())[-6:]
+
+
+def test_smooth_all_samples_each_base_multiset_once(tmp_path, monkeypatch):
+    calls = {"sample": 0, "compile": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (cli, smoothing):
+        monkeypatch.setattr(module, "sample_noisy", counted("sample", module.sample_noisy))
+        monkeypatch.setattr(module, "compile_simon_circuit",
+                            counted("compile", module.compile_simon_circuit))
+    assert main(["--out-dir", str(tmp_path), "smooth", "--n", "5", "--shots", "2048"]) == 0
+    # none 1 + permutation 50 + double-flip 2 + permutation/double-flip 100;
+    # the two Hamming rows shift the none and permutation multisets
+    assert calls == {"sample": 153, "compile": 102}
+
+
 def test_smooth_honours_workers_in_every_row(tmp_path):
     for workers in (1, 2):
         assert main(["--out-dir", str(tmp_path / f"w{workers}"), "--workers", str(workers),
@@ -114,6 +178,16 @@ def test_reduction_check_exact_and_statistical(tmp_path):
     assert all(r["verdict"] == "PASS" for r in rows)
     assert main(["--out-dir", str(tmp_path), "reduction-check", "--n", "16",
                  "--tau", "0.1", "--samples", "40000"]) == 0
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_reduction_check_chi_square_below_nine_bits(tmp_path, n):
+    """Projections use min(8, n - 1) coordinates, so 4 < n < 9 runs too."""
+    rc = main(["--out-dir", str(tmp_path), "reduction-check", "--n", str(n),
+               "--samples", "20000"])
+    rows = read_rows(tmp_path / "reduction_check.csv")
+    assert [r["mode"] for r in rows] == ["chi-square", "chi-square"]
+    assert rc == (0 if all(r["verdict"] == "PASS" for r in rows) else 1)
 
 
 def test_solve_commands(tmp_path):
@@ -155,3 +229,30 @@ def test_bad_input_gives_one_line_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("noisysimon: error: ") and message in err
         assert err.count("\n") == 1
+
+
+def test_sparse_multiset_is_a_one_line_error(tmp_path, capsys):
+    """At n=7 16 shots cannot cover the 128 outcomes the model supports."""
+    assert main(["--out-dir", str(tmp_path), "smooth", "--n", "7", "--shots", "16"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("noisysimon: error: KL is infinite: ") and err.count("\n") == 1
+    assert "--shots" in err
+    assert main(["--out-dir", str(tmp_path), "measure", "--n", "7", "--shots", "16"]) == 0
+    capsys.readouterr()
+    assert main(["--out-dir", str(tmp_path), "stats",
+                 "--multiset", str(tmp_path / "measure_n7.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("noisysimon: error: KL is infinite: ") and err.count("\n") == 1
+
+
+def test_import_loads_no_scipy_networkx_or_hypothesis():
+    """Every command starts with this import; scipy.stats alone took about 1 s of it."""
+    code = ("import sys, noisysimon, noisysimon.cli; "
+            "print(' '.join(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'networkx', 'hypothesis')))")
+    src = str(Path(noisysimon.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.split() == []

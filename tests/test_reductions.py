@@ -8,11 +8,14 @@ from noisysimon.lsn import LsnParams, model_distribution, sample_many
 from noisysimon.reductions import (
     LpnSample,
     SolveFailure,
+    chi_square_check,
     lpn_model_distribution,
     lpn_projection_counts,
     lpn_sample_to_lsn,
     lsn_projection_counts,
     lsn_sample_to_lpn,
+    lsn_samples_to_lpn,
+    projection_functionals,
     solve_lpn_via_lsn,
     solve_lsn_via_lpn,
     transformed_lpn_distribution,
@@ -80,6 +83,7 @@ def test_round_trip_restores_samples():
 
 
 def test_chi_square_both_directions_at_n16():
+    """The shared routine draws and buckets exactly as this inline form."""
     n, tau = 16, 0.1
     s = BitVec(n, 0b11)
     params = LsnParams(n, tau, s)
@@ -103,6 +107,70 @@ def test_chi_square_both_directions_at_n16():
     cells2, probs2 = lsn_projection_counts(av ^ (bv * z.value), params, k=8)
     _, p2 = chi_square_gof(cells2, probs2)
     assert p2 > 0.01
+
+    again = np.random.default_rng(42)
+    assert chi_square_check(params, z, 100_000, again) == (p1, p2)
+    assert again.bit_generator.state == rng.bit_generator.state
+
+
+def _scalar_parity(v: int) -> int:
+    return bin(v).count("1") & 1
+
+
+def reference_lsn_projection_counts(outcomes, params, k):
+    """The per-sample loop the array form replaced."""
+    funcs = projection_functionals(params.n, k, exclude=params.s)
+    cells = np.zeros(2 << k, dtype=np.int64)
+    for y in np.asarray(outcomes, dtype=np.int64):
+        e = _scalar_parity(int(y) & params.s.value)
+        idx = 0
+        for i, u in enumerate(funcs):
+            idx |= _scalar_parity(int(y) & u) << i
+        cells[(e << k) | idx] += 1
+    return cells
+
+
+def reference_lpn_projection_counts(samples, params, k):
+    funcs = projection_functionals(params.n, k)
+    cells = np.zeros(2 << k, dtype=np.int64)
+    for a, b in samples:
+        e = (_scalar_parity(a.value & params.s.value) ^ b) & 1
+        idx = 0
+        for i, u in enumerate(funcs):
+            idx |= _scalar_parity(a.value & u) << i
+        cells[(e << k) | idx] += 1
+    return cells
+
+
+@pytest.mark.parametrize("n", [2, 5, 9, 16])
+def test_projection_counts_match_per_sample_loop(n):
+    rng = np.random.default_rng(n)
+    params = LsnParams(n, 0.2, BitVec(n, int(rng.integers(1, 1 << n))))
+    k = min(8, n - 1)
+    ys = sample_many(params, 3000, rng)
+    cells, probs = lsn_projection_counts(ys, params, k)
+    assert np.array_equal(cells, reference_lsn_projection_counts(ys, params, k))
+    assert cells.dtype == np.int64 and probs.sum() == pytest.approx(1.0)
+    samples = [LpnSample(BitVec(n, int(a)), int(b))
+               for a, b in zip(rng.integers(0, 1 << n, size=3000), rng.integers(0, 2, size=3000))]
+    cells, _ = lpn_projection_counts(samples, params, k)
+    assert np.array_equal(cells, reference_lpn_projection_counts(samples, params, k))
+
+
+@pytest.mark.parametrize("count", [1, 3, 63, 1001, 16384])
+def test_batched_transform_matches_scalar_loop(count):
+    n = 7
+    params = LsnParams(n, 0.12, BitVec(n, 0b11))
+    z = BitVec(n, 0b101)
+    ys = sample_many(params, count, np.random.default_rng(count))
+    one, many = np.random.default_rng(5), np.random.default_rng(5)
+    one.random()  # start both mid-stream
+    many.random()
+    scalar = [lsn_sample_to_lpn(BitVec(n, int(y)), z, one) for y in ys]
+    a, b = lsn_samples_to_lpn(ys, z, many)
+    assert [(x.a.value, x.b) for x in scalar] == list(zip(a.tolist(), b.tolist()))
+    assert many.bit_generator.state == one.bit_generator.state
+    assert one.integers(0, 1 << 30, size=4).tolist() == many.integers(0, 1 << 30, size=4).tolist()
 
 
 def _gauss_lpn_solver(n, tau, samples, rng):

@@ -85,6 +85,13 @@ def test_quality_report_deterministic():
     assert quality_report(m, params) == quality_report(m, params)
 
 
+def test_quality_report_on_sparse_multiset_names_unseen_outcomes():
+    params = LsnParams(3, 0.1, BitVec.from_string("011"))
+    counts = {y: 10 for y in range(8) if y not in (1, 6)}  # the model supports all 8
+    with pytest.raises(DivergenceError, match=r"2 of the 8 outcomes .* 60 shots.*--shots"):
+        quality_report(MeasurementMultiset.from_counts(3, counts), params)
+
+
 def test_smoothing_order_on_synthetic_biased_data(graph, noise, compiled):
     """Combined permutation+complement beats complement alone, which beats
     nothing, on the same seeded biased run."""
@@ -118,6 +125,23 @@ def test_chi_square_uniform_sanity():
     skewed[0] += 3000
     _, p_bad = chi_square_gof(skewed, np.full(64, 1 / 64))
     assert p_bad < 1e-6
+
+
+def test_chi_square_p_value_equals_scipy_stats():
+    chi2 = pytest.importorskip("scipy.stats").chi2  # the oracle; the package avoids scipy.stats
+    assert chi_square_gof(np.array([5, 5]), np.array([0.5, 0.5])) == (0.0, 1.0)
+    rng = np.random.default_rng(9)
+    checked = 0
+    for cells in (2, 3, 8, 64, 257, 1001, 4096, 65536):
+        probs = 0.5 * rng.dirichlet(np.ones(cells)) + 0.5 / cells
+        probs /= probs.sum()
+        for shots, skew in ((20 * cells, 0), (20 * cells, 1), (5 * cells, 0), (5 * cells, 4)):
+            counts = rng.multinomial(shots, probs)
+            counts[0] += skew * int(np.sqrt(shots))
+            stat, p = chi_square_gof(counts, probs)
+            assert p == float(chi2.sf(stat, cells - 1)), (cells, stat)
+            checked += p < 1e-6
+    assert checked >= 4  # the far tail is on the grid too
 
 
 def test_kl_sampling_floor_formula():
