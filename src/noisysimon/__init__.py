@@ -25,15 +25,11 @@ from .gf2 import (
 )
 from .simon import SimonFunction, is_simon_function
 from .circuits import Circuit, Gate, build_simon_circuit, append_measurement_flips
-from .statevector import (
-    CapacityError,
-    circuits_equivalent,
-    exact_output_distribution,
-    run_statevector,
-)
+from .statevector import circuits_equivalent, exact_output_distribution
 from .noise import NoiseParams, default_noise, sample_noisy
 from .multiset import EmptyMultisetError, MeasurementMultiset, merge_all
 from .transpile import (
+    CapacityError,
     Configuration,
     CircuitNorm,
     RoutingError,

@@ -75,11 +75,6 @@ class Circuit:
     def label_of(self, wire: int):
         return self.labels[wire] if self.labels is not None else wire
 
-    def wire_of(self, label) -> int:
-        if self.labels is None:
-            return int(label)
-        return self.labels.index(label)
-
     def gate_counts(self) -> Tuple[int, int]:
         """(one-qubit, two-qubit) gate counts."""
         g1 = sum(1 for g in self.gates if g.arity == 1)

@@ -159,9 +159,10 @@ def _smoothed(args, graph, noise, cfg) -> Dict[str, Callable[[], MeasurementMult
     """Technique name -> the function making its multiset, from the
     minimum-norm configuration `cfg`.
 
-    The permutation configurations and the raw and permuted multisets are
-    made at most once, and the Hamming rows shift the latter two, so
-    `--technique all` samples each of them once.
+    The permutation configurations, their compiled circuits and the raw and
+    permuted multisets are made at most once, and the Hamming rows shift the
+    latter two, so `--technique all` compiles each configuration once and
+    samples each of those multisets once.
     """
     f = SimonFunction.default(args.n)
     v = choose_hamming_vector(f.s)
@@ -173,25 +174,32 @@ def _smoothed(args, graph, noise, cfg) -> Dict[str, Callable[[], MeasurementMult
         return permutation_configurations(f, graph, args.configs, rng, base=cfg)
 
     @functools.cache
+    def circuit():
+        return compile_simon_circuit(f, graph, cfg)
+
+    @functools.cache
+    def circuits():
+        return [compile_simon_circuit(f, graph, c) for c in configs()]
+
+    @functools.cache
     def raw():
-        circ = compile_simon_circuit(f, graph, cfg)
-        return sample_noisy(circ, noise, shots, seed=seed, workers=workers)
+        return sample_noisy(circuit(), noise, shots, seed=seed, workers=workers)
 
     @functools.cache
     def permuted():
-        return permutation_smooth(f, graph, configs(), shots, noise, seed=seed, workers=workers)
+        return permutation_smooth(f, graph, circuits(), shots, noise, seed=seed,
+                                  workers=workers)
 
     def permuted_double_flip():
         return merge_all([
-            double_flip(f, graph, c, noise, shots, seed=seed + 91 * k, workers=workers)
-            for k, c in enumerate(configs())
+            double_flip(c, noise, shots, seed=seed + 91 * k, workers=workers)
+            for k, c in enumerate(circuits())
         ])
 
     return {
         "none": raw,
         "permutation": permuted,
-        "double-flip": lambda: double_flip(f, graph, cfg, noise, shots, seed=seed,
-                                           workers=workers),
+        "double-flip": lambda: double_flip(circuit(), noise, shots, seed=seed, workers=workers),
         "permutation/double-flip": permuted_double_flip,
         "hamming": lambda: hamming_smooth(raw(), v),
         "permutation/hamming": lambda: hamming_smooth(permuted(), v),
@@ -239,9 +247,7 @@ def cmd_crossover(args) -> int:
     for n in range(2, 8):
         tau = args.taus[n - 2] if args.taus else FIG9_TAUS[n]
         f = SimonFunction.default(n)
-        pool = SamplePool.from_vectors(
-            [BitVec(n, int(v)) for v in sample_many(LsnParams(n, tau, f.s), args.pool_size, rng)]
-        )
+        pool = SamplePool.from_ints(n, sample_many(LsnParams(n, tau, f.s), args.pool_size, rng))
         total_p = 0
         for _ in range(args.trials):
             sv = int(rng.integers(1, 1 << n))
@@ -321,9 +327,7 @@ def cmd_solve(args) -> int:
         s, cost = classical_period(f)
     elif args.algorithm == "pooled-lsn":
         pool_params = LsnParams(n, tau, f.s)
-        pool = SamplePool.from_vectors(
-            [BitVec(n, int(v)) for v in sample_many(pool_params, args.pool_size, rng)]
-        )
+        pool = SamplePool.from_ints(n, sample_many(pool_params, args.pool_size, rng))
         s, cost = pooled_lsn(f, pool, rng)
     elif args.algorithm == "pooled-gauss":
         ys = sample_many(LsnParams(n, tau, f.s), args.pool_size, rng)

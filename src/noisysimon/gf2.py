@@ -21,10 +21,6 @@ class RankError(ValueError):
     """Matrix rank does not admit the requested operation."""
 
 
-def _popcount(v: int) -> int:
-    return bin(v).count("1")
-
-
 def parity(a: np.ndarray) -> np.ndarray:
     """Elementwise parity (popcount mod 2) of a nonnegative int array."""
     return np.bitwise_count(a) & 1
@@ -103,10 +99,10 @@ class BitVec:
     def inner(self, other: "BitVec") -> int:
         if self.n != other.n:
             raise DimensionError(f"length mismatch: {self.n} vs {other.n}")
-        return _popcount(self.value & other.value) & 1
+        return (self.value & other.value).bit_count() & 1
 
     def weight(self) -> int:
-        return _popcount(self.value)
+        return self.value.bit_count()
 
 
 def inner_product(x: BitVec, y: BitVec) -> int:

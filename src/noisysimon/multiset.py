@@ -39,7 +39,7 @@ class MeasurementMultiset:
         counts: Dict[int, int] = {}
         if arr.size:
             values, cnt = np.unique(arr, return_counts=True)
-            counts = {int(v): int(c) for v, c in zip(values, cnt)}
+            counts = dict(zip(values.tolist(), cnt.tolist()))
         return cls(n, counts)
 
     @classmethod

@@ -14,8 +14,12 @@ The model, per Monte-Carlo shot:
 Because H/X/CNOT are Clifford, an injected Pauli propagates to the end of the
 circuit as a Pauli, and only its X component can change measured outcomes.
 Each shot therefore samples the noiseless outcome distribution XOR-shifted by
-the propagated fault mask, which the sampler exploits instead of re-running
-the statevector per trajectory.
+the propagated fault mask, which the sampler exploits instead of simulating
+each trajectory. The noiseless outcomes are uniform on the circuit's affine
+support (`statevector.output_support`), so a shot's noiseless outcome is
+support[floor(u * K)] for one uniform u and the support's size K, a power of
+two: the same outcome a binary search of u in the exact CDF would give. Width
+is not capped, but the support is materialised (at most 2^24 outcomes).
 
 The masks are accumulated in batch, as in a Pauli-frame simulator (Gidney,
 arXiv:2103.02202): a (gate, wire, Pauli) -> mask table is built once per
@@ -37,7 +41,7 @@ import numpy as np
 
 from .circuits import CNOT, Circuit, H
 from .multiset import MeasurementMultiset
-from .statevector import exact_output_distribution
+from .statevector import output_support
 
 PAULI_I, PAULI_X, PAULI_Y, PAULI_Z = 0, 1, 2, 3
 
@@ -133,15 +137,12 @@ def _fault_masks(circuit: Circuit) -> np.ndarray:
 
 
 def _sample_chunk(
-    circuit: Circuit, noise: NoiseParams, shots: int, rng: np.random.Generator
+    circuit: Circuit, noise: NoiseParams, shots: int, rng: np.random.Generator, support: np.ndarray
 ) -> np.ndarray:
+    """`shots` outcomes; `support` is `output_support(circuit)`."""
     gates = circuit.gates
     width = circuit.width
     measured = circuit.measured
-
-    base = exact_output_distribution(circuit)
-    cdf = np.cumsum(base)
-    cdf[-1] = 1.0
 
     # Per-shot fault masks over the outcome bits (bit k is wire measured[k]).
     masks = np.zeros(shots, dtype=np.int64)
@@ -174,19 +175,16 @@ def _sample_chunk(
                 ct_codes = rng.integers(0, 4, size=s_idx.size)
                 np.bitwise_xor.at(masks, s_idx, table[gi, others[w_idx], ct_codes])
 
-    outcomes = np.searchsorted(cdf, rng.random(shots), side="right").astype(np.int64)
+    # u * K is exact (K is a power of two), so the index is floor(u * K)
+    outcomes = support[(rng.random(shots) * support.size).astype(np.intp)]
     outcomes ^= masks
 
-    # Asymmetric readout flips, one stream per outcome bit.
+    # Asymmetric readout flips, one stream per outcome bit, drawn whatever the
+    # rates so that the stream layout does not depend on them.
     for k, q in enumerate(measured):
-        p01, p10 = noise.readout_for(circuit.label_of(q))
-        if p01 == 0.0 and p10 == 0.0:
-            rng.random(shots)  # keep the stream layout independent of the rates
-            continue
-        bits = (outcomes >> k) & 1
-        flip_prob = np.where(bits == 1, p10, p01)
-        flips = rng.random(shots) < flip_prob
-        outcomes ^= flips.astype(np.int64) << k
+        flip_prob = np.array(noise.readout_for(circuit.label_of(q)))  # (p01, p10)
+        flips = rng.random(shots) < flip_prob[(outcomes >> k) & 1]
+        outcomes[flips] ^= 1 << k
     return outcomes
 
 
@@ -210,12 +208,13 @@ def sample_noisy(
         raise ValueError("workers must be >= 1")
     per = shots // workers
     extra = shots % workers
+    support = output_support(circuit)
     outcome_chunks = []
     for w in range(workers):
         chunk = per + (1 if w < extra else 0)
         if chunk == 0:
             continue
         rng = np.random.default_rng(seed if seed is None else [int(seed), w])
-        outcome_chunks.append(_sample_chunk(circuit, noise, chunk, rng))
+        outcome_chunks.append(_sample_chunk(circuit, noise, chunk, rng, support))
     outcomes = np.concatenate(outcome_chunks)
     return MeasurementMultiset.from_outcomes(len(circuit.measured), outcomes)

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .circuits import append_measurement_flips
+from .circuits import Circuit, append_measurement_flips
 from .gf2 import BitVec
 from .multiset import MeasurementMultiset, merge_all
 from .noise import NoiseParams, sample_noisy
@@ -28,7 +28,6 @@ from .transpile import (
     Configuration,
     TopologyGraph,
     circuit_norm,
-    compile_simon_circuit,
     search_min_configuration,
 )
 
@@ -62,19 +61,17 @@ def hamming_smooth(m: MeasurementMultiset, v: BitVec) -> MeasurementMultiset:
 
 
 def double_flip(
-    f: SimonFunction,
-    graph: TopologyGraph,
-    config: Configuration,
+    circuit: Circuit,
     noise: NoiseParams,
     shots: int,
     seed=None,
     workers: int = 1,
 ) -> MeasurementMultiset:
-    """Pool a plain run with a flipped-readout run (outcomes re-complemented)."""
-    base = compile_simon_circuit(f, graph, config)
-    flipped = append_measurement_flips(base)
-    plain = sample_noisy(base, noise, shots, seed=seed, workers=workers)
-    ones = (1 << f.n) - 1
+    """Pool a plain run of the compiled circuit with a flipped-readout run
+    (outcomes re-complemented)."""
+    flipped = append_measurement_flips(circuit)
+    plain = sample_noisy(circuit, noise, shots, seed=seed, workers=workers)
+    ones = (1 << len(circuit.measured)) - 1
     refl = sample_noisy(
         flipped, noise, shots, seed=None if seed is None else seed + 1, workers=workers
     )
@@ -116,21 +113,20 @@ def permutation_configurations(
 def permutation_smooth(
     f: SimonFunction,
     graph: TopologyGraph,
-    configs: Sequence[Configuration],
+    circuits: Sequence[Circuit],
     shots_per_config: int,
     noise: NoiseParams,
     seed=None,
     workers: int = 1,
 ) -> MeasurementMultiset:
-    """Run every configuration and pool the (already logically ordered) outcomes.
+    """Run every compiled configuration and pool the (logically ordered) outcomes.
 
-    Rejects configurations that do not attain the minimal circuit norm, since
-    those would change the error rate they are supposed to preserve.
+    Rejects circuits that do not attain the minimal circuit norm, since those
+    would change the error rate they are supposed to preserve.
     """
     _, min_cn = search_min_configuration(f, graph)
     parts = []
-    for k, cfg in enumerate(configs):
-        circ = compile_simon_circuit(f, graph, cfg)
+    for k, circ in enumerate(circuits):
         cn = circuit_norm(circ)
         if cn.value != min_cn.value:
             raise ValueError(

@@ -36,27 +36,37 @@ class QueryLedger:
 
 @dataclass(frozen=True)
 class SamplePool:
+    """Samples in F_2^n, held as packed ints; their `BitVec` form `samples`
+    is built only when asked for."""
+
     n: int
-    samples: Tuple[BitVec, ...]
+    values: Tuple[int, ...]
+
+    @classmethod
+    def from_ints(cls, n: int, values) -> "SamplePool":
+        """A pool of the ints `values` (a sequence or an array), each in [0, 2^n)."""
+        arr = np.asarray(values)
+        if arr.size == 0 or arr.min() < 0 or arr.max() >= 1 << n:
+            raise ValueError(f"empty pool or a sample out of range for n={n}")
+        return cls(n, tuple(arr.tolist()))
 
     @classmethod
     def from_vectors(cls, vectors: Sequence[BitVec]) -> "SamplePool":
         vectors = tuple(vectors)
         if not vectors:
             raise ValueError("empty pool")
-        return cls(vectors[0].n, vectors)
+        return cls(vectors[0].n, tuple(v.value for v in vectors))
 
     @classmethod
     def from_multiset(cls, m: MeasurementMultiset) -> "SamplePool":
-        return cls(m.n, tuple(BitVec(m.n, int(o)) for o in m.outcomes_array()))
+        return cls.from_ints(m.n, m.outcomes_array())
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.values)
 
     @cached_property
-    def values(self) -> List[int]:
-        """The samples as packed ints, built once per pool."""
-        return [v.value for v in self.samples]
+    def samples(self) -> Tuple[BitVec, ...]:
+        return tuple(BitVec(self.n, v) for v in self.values)
 
 
 # ---------------------------------------------------------------------------

@@ -1,142 +1,116 @@
-"""Exact statevector simulation of H/X/CNOT circuits.
+"""Exact outcome distributions of H/X/CNOT circuits from their affine support.
 
-Basis-state convention: amplitude index i encodes wire q in bit q of i, so
-index arithmetic matches the bit-vector convention used everywhere else.
+H, X and CNOT are Clifford gates, so a circuit of them started from |0...0>
+prepares a stabilizer state, and the outcomes of its m measured wires are
+uniform on an affine subspace c + V of F_2^m. The support is found in the
+Heisenberg picture (Aaronson-Gottesman, quant-ph/0406196): Z on each
+measured wire is pulled back through the gates to a signed Pauli, and a
+product of rows with no X part left is a Z-string with expectation +-1 on
+|0...0>, i.e. a parity <u, outcome> fixed by its sign. Those u span V's
+orthogonal complement and their signs fix c. This takes a few int operations
+per gate instead of 2^width amplitudes.
+
+Outcome bit k is the value of wire measured[k], as everywhere else.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Tuple
-
 import numpy as np
 
-from .circuits import CNOT, Circuit, Gate, H, X
+from .circuits import CNOT, Circuit, H, X
+from .gf2 import _echelon, nullspace_ints
+from .transpile import CapacityError
 
-MAX_WIDTH = 28
-
-_SQRT2_INV = 1.0 / math.sqrt(2.0)
-
-
-class CapacityError(ValueError):
-    """Amplitude array would not fit at desk scale."""
+# Supports are materialised, one int64 per outcome: at most 2^24 (128 MiB).
+MAX_SUPPORT_BITS = 24
 
 
-def zero_state(width: int, dtype=np.complex128) -> np.ndarray:
-    if width > MAX_WIDTH:
-        raise CapacityError(f"width {width} exceeds the {MAX_WIDTH}-qubit limit")
-    state = np.zeros(1 << width, dtype=dtype)
-    state[0] = 1.0
-    return state
+def _pulled_back_rows(circuit: Circuit):
+    """Z on each measured wire conjugated back to the start of the circuit.
+
+    Row k is (-1)^sign_k X^x_k Z^z_k. The rows are kept bit-parallel while
+    the gates are walked in reverse: x[w] and z[w] hold bit k when row k has
+    an X / Z on wire w, and bit k of `sign` is row k's sign. Returns the
+    rows as (x part, z part, sign) with the parts as wire bitmasks.
+    """
+    x = [0] * circuit.width
+    z = [0] * circuit.width
+    for k, q in enumerate(circuit.measured):
+        z[q] |= 1 << k
+    sign = 0
+    for g in reversed(circuit.gates):
+        a = g.target
+        if g.kind == H:
+            sign ^= x[a] & z[a]
+            x[a], z[a] = z[a], x[a]
+        elif g.kind == X:
+            sign ^= z[a]
+        elif g.kind == CNOT:
+            x[a] ^= x[g.control]
+            z[g.control] ^= z[a]
+    rows = []
+    for k in range(len(circuit.measured)):
+        xr = sum(((x[w] >> k) & 1) << w for w in range(circuit.width))
+        zr = sum(((z[w] >> k) & 1) << w for w in range(circuit.width))
+        rows.append((xr, zr, (sign >> k) & 1))
+    return rows
 
 
-def _axis(width: int, qubit: int) -> int:
-    return width - 1 - qubit
+def output_support(circuit: Circuit) -> np.ndarray:
+    """The outcomes of the measured wires with nonzero probability, ascending.
 
-
-# The gate kernels below view the state as (high bits, qubit, low bits) and
-# keep its dtype, so real states stay real.
-
-
-def apply_h(state: np.ndarray, qubit: int, width: int) -> np.ndarray:
-    psi = state.reshape(-1, 2, 1 << qubit)
-    out = np.empty_like(psi)
-    np.add(psi[:, 0], psi[:, 1], out=out[:, 0])
-    np.subtract(psi[:, 0], psi[:, 1], out=out[:, 1])
-    out *= _SQRT2_INV
-    return out.reshape(-1)
-
-
-def apply_x(state: np.ndarray, qubit: int, width: int) -> np.ndarray:
-    return state.reshape(-1, 2, 1 << qubit)[:, ::-1].reshape(-1)
-
-
-def apply_z(state: np.ndarray, qubit: int, width: int) -> np.ndarray:
-    psi = state.reshape([2] * width).copy()
-    idx = [slice(None)] * width
-    idx[_axis(width, qubit)] = 1
-    psi[tuple(idx)] *= -1.0
-    return psi.reshape(-1)
-
-
-def apply_y(state: np.ndarray, qubit: int, width: int) -> np.ndarray:
-    psi = np.moveaxis(state.reshape([2] * width), _axis(width, qubit), 0)
-    out = np.empty(psi.shape, np.result_type(psi.dtype, np.complex64))
-    out[0] = -1j * psi[1]
-    out[1] = 1j * psi[0]
-    return np.moveaxis(out, 0, _axis(width, qubit)).reshape(-1)
-
-
-def apply_cnot(state: np.ndarray, control: int, target: int, width: int) -> np.ndarray:
-    hi, lo = max(control, target), min(control, target)
-    psi = state.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-    out = psi.copy()
-    if control == hi:
-        out[:, 1, :, 0], out[:, 1, :, 1] = psi[:, 1, :, 1], psi[:, 1, :, 0]
-    else:
-        out[:, 0, :, 1], out[:, 1, :, 1] = psi[:, 1, :, 1], psi[:, 0, :, 1]
-    return out.reshape(-1)
-
-
-PAULI_I, PAULI_X, PAULI_Y, PAULI_Z = 0, 1, 2, 3
-
-_PAULI_FNS = {PAULI_X: apply_x, PAULI_Y: apply_y, PAULI_Z: apply_z}
-
-
-def apply_pauli(state: np.ndarray, code: int, qubit: int, width: int) -> np.ndarray:
-    if code == PAULI_I:
-        return state
-    return _PAULI_FNS[code](state, qubit, width)
-
-
-def apply_gate(state: np.ndarray, gate: Gate, width: int) -> np.ndarray:
-    if gate.kind == H:
-        return apply_h(state, gate.target, width)
-    if gate.kind == X:
-        return apply_x(state, gate.target, width)
-    if gate.kind == CNOT:
-        return apply_cnot(state, gate.control, gate.target, width)
-    raise ValueError(f"unknown gate {gate.kind!r}")
-
-
-def run_statevector(circuit: Circuit) -> np.ndarray:
-    """Final state from |0...0>; real, because H, X and CNOT keep it real."""
-    state = zero_state(circuit.width, np.float64)
-    for gate in circuit.gates:
-        state = apply_gate(state, gate, circuit.width)
-    return state
-
-
-def measured_marginal(state: np.ndarray, measured: Tuple[int, ...], width: int) -> np.ndarray:
-    """Born-rule distribution over outcomes; bit k of the outcome is wire measured[k]."""
-    probs = state.real**2
-    if np.iscomplexobj(state):
-        probs += state.imag**2
-    probs = probs.reshape([2] * width)
-    keep = [_axis(width, q) for q in measured]
-    other = tuple(a for a in range(width) if a not in set(keep))
-    if other:
-        probs = probs.sum(axis=other)
-    if not measured:
-        return probs.reshape(1)
-    sorted_keep = sorted(keep)
-    pos = {a: i for i, a in enumerate(sorted_keep)}
-    perm = [pos[_axis(width, q)] for q in reversed(measured)]
-    return probs.transpose(perm).reshape(-1)
+    Each is equally likely, and their number is a power of two, at most
+    2^MAX_SUPPORT_BITS; CapacityError is raised for larger supports.
+    """
+    m = len(circuit.measured)
+    # Eliminate the X parts. Each row also carries u, the set of measured
+    # wires whose Z-product it is, and multiplies as
+    # X^x1 Z^z1 . X^x2 Z^z2 = (-1)^|z1 & x2| X^(x1^x2) Z^(z1^z2).
+    pivots = []  # (lowest X bit, row)
+    fixed = []  # u | sign << m for every u whose product has no X part
+    for k, (xr, zr, s) in enumerate(_pulled_back_rows(circuit)):
+        u = 1 << k
+        for low, (px, pz, ps, pu) in pivots:
+            if xr & low:
+                s ^= ps ^ ((pz & xr).bit_count() & 1)
+                xr, zr, u = xr ^ px, zr ^ pz, u ^ pu
+        if xr:
+            pivots.append((xr & -xr, (xr, zr, s, u)))
+        else:
+            fixed.append(u | s << m)
+    # <u, outcome> = sign for each fixed u. In the reduced echelon form every
+    # row has its own pivot coordinate, so setting only the pivot
+    # coordinates to the signs solves all of them.
+    c = 0
+    for row in _echelon(fixed, m + 1):
+        if row >> m:
+            c |= row & -row
+    free = nullspace_ints([row & ((1 << m) - 1) for row in fixed], m)
+    if len(free) > MAX_SUPPORT_BITS:
+        raise CapacityError(
+            f"{len(free)} free outcome bits exceed the {MAX_SUPPORT_BITS}-bit support limit"
+        )
+    support = np.array([c], dtype=np.int64)
+    for v in free:
+        support = np.concatenate([support, support ^ v])
+    support.sort()
+    return support
 
 
 def exact_output_distribution(circuit: Circuit) -> np.ndarray:
-    """Exact outcome distribution of the measured wires."""
-    state = run_statevector(circuit)
-    return measured_marginal(state, circuit.measured, circuit.width)
+    """Exact outcome distribution of the measured wires: 1/K on the K
+    outcomes of the support, 0 elsewhere (a dense array of 2^m entries)."""
+    support = output_support(circuit)
+    dist = np.zeros(1 << len(circuit.measured))
+    dist[support] = 1.0 / support.size
+    return dist
 
 
 def circuits_equivalent(a: Circuit, b: Circuit, tol: float = 1e-9) -> bool:
-    """True iff the two measured-outcome distributions agree within tol per outcome."""
+    """True iff the measured-outcome distributions are equal, i.e. (both being
+    uniform on their supports) iff the supports are; `tol` is not used."""
     if len(a.measured) != len(b.measured):
         raise ValueError(
             f"incompatible measurement arity: {len(a.measured)} vs {len(b.measured)}"
         )
-    da = exact_output_distribution(a)
-    db = exact_output_distribution(b)
-    return bool(np.max(np.abs(da - db)) <= tol)
+    return bool(np.array_equal(output_support(a), output_support(b)))

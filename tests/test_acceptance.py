@@ -36,19 +36,16 @@ from noisysimon.solvers import (
     runtime_exponent_pooled,
     runtime_exponent_wellpooled,
 )
-from noisysimon.statevector import (
-    apply_cnot,
-    apply_h,
-    circuits_equivalent,
-    exact_output_distribution,
-)
+from noisysimon.statevector import circuits_equivalent, exact_output_distribution
 from noisysimon.stats import quality_report
 from noisysimon.transpile import (
     Configuration,
     circuit_norm,
+    compile_simon_circuit,
     route,
     search_min_configuration,
 )
+from statevector_oracle import apply_cnot, apply_h
 
 TABLE_CN = {2: 21, 3: 33, 4: 45, 5: 57, 6: 69, 7: 81}
 PERIOD_CURVE = {
@@ -186,7 +183,8 @@ def test_c7_smoothing_properties(graph, noise, compiled):
         assert v.inner(f.s) == 0
         ham = hamming_smooth(raw, v)
         cfgs = permutation_configurations(f, graph, 16, np.random.default_rng(SEED + n), base=cfg)
-        ph = hamming_smooth(permutation_smooth(f, graph, cfgs, 2048, noise, seed=SEED + n), v)
+        circs = [compile_simon_circuit(f, graph, c) for c in cfgs]
+        ph = hamming_smooth(permutation_smooth(f, graph, circs, 2048, noise, seed=SEED + n), v)
         params = LsnParams(n, 0.1, f.s)
         kl_raw = quality_report(raw, params).kl
         kl_ham = quality_report(ham, params).kl
@@ -220,9 +218,7 @@ def test_c8_solver_correctness_randomized():
         key = (n, f.s.value, round(tau, 2))
         if key not in pools:
             params = LsnParams(n, round(tau, 2), f.s)
-            pools[key] = SamplePool.from_vectors(
-                [BitVec(n, int(v)) for v in sample_many(params, 4096, rng)]
-            )
+            pools[key] = SamplePool.from_ints(n, sample_many(params, 4096, rng))
         s, _ = pooled_lsn(f, pools[key], rng)
         assert s == f.s and f.verify_period(s) and s.value != 0
     print(f"PASS criterion 8: both solvers correct in {trials}/{trials} randomized trials each")

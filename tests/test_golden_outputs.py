@@ -34,6 +34,7 @@ from noisysimon.solvers import (
     pooled_gauss_lpn,
     pooled_lsn,
 )
+from noisysimon.statevector import output_support
 from noisysimon.transpile import enumerate_min_configurations
 
 SEED = 20260808
@@ -59,7 +60,8 @@ def noise_variant(noise, circuit, variant):
 
 
 def outcomes_digest(circuit, noise, shots):
-    out = _sample_chunk(circuit, noise, shots, np.random.default_rng(SEED))
+    support = output_support(circuit)
+    out = _sample_chunk(circuit, noise, shots, np.random.default_rng(SEED), support)
     return _sha(out.astype("<i8").tobytes())
 
 

@@ -132,12 +132,14 @@ def test_smooth_all_samples_each_base_multiset_once(tmp_path, monkeypatch):
 
     for module in (cli, smoothing):
         monkeypatch.setattr(module, "sample_noisy", counted("sample", module.sample_noisy))
-        monkeypatch.setattr(module, "compile_simon_circuit",
-                            counted("compile", module.compile_simon_circuit))
+    # smoothing takes compiled circuits, so only the CLI compiles
+    assert not hasattr(smoothing, "compile_simon_circuit")
+    monkeypatch.setattr(cli, "compile_simon_circuit", counted("compile", cli.compile_simon_circuit))
     assert main(["--out-dir", str(tmp_path), "smooth", "--n", "5", "--shots", "2048"]) == 0
     # none 1 + permutation 50 + double-flip 2 + permutation/double-flip 100;
-    # the two Hamming rows shift the none and permutation multisets
-    assert calls == {"sample": 153, "compile": 102}
+    # the two Hamming rows shift the none and permutation multisets, and the
+    # double-flip rows reuse the 1 + 50 compiled circuits
+    assert calls == {"sample": 153, "compile": 51}
 
 
 def test_smooth_honours_workers_in_every_row(tmp_path):
@@ -217,7 +219,11 @@ def test_bad_input_gives_one_line_error(tmp_path, capsys):
     bad_noise.write_text('{"eps1": 0.01,')
     split = tmp_path / "split.json"
     split.write_text(json.dumps({"vertices": 4, "edges": [[0, 1], [2, 3]]}))
+    star = tmp_path / "star.json"
+    star.write_text(json.dumps({"vertices": 15, "edges": [[0, i] for i in range(1, 15)]}))
     cases = [
+        (["--topology", str(star), "transpile-report", "--n-min", "3", "--n-max", "3"],
+         "no swap-free placement"),
         (["--topology", str(split), "measure", "--n", "2"], "are disconnected"),
         (["measure", "--n", "7", "--shots", "0"], "shots must be >= 1"),
         (["measure", "--n", "8"], "need 16 wires but the device has 15"),

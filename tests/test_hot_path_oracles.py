@@ -11,8 +11,16 @@ a separate back-substitution pass; the library's one-pass Gauss-Jordan forms
 must give the same basis and the same solution, and the nullspace must span
 exactly the brute-force nullspace.
 `reference_exact_distribution` is the complex-amplitude statevector (moved
-axes, complex128 from |0...0>); the library's real-valued kernels must give
-byte-identical outcome distributions.
+axes, complex128 from |0...0>); the real-valued kernels of the statevector
+oracle (`statevector_oracle.py`) must give byte-identical outcome
+distributions, and the library's distribution, taken from the affine
+support, must be exactly 1/K on the oracle's support of K outcomes and 0
+elsewhere. The sampler reference draws its noiseless outcomes by a binary
+search of the oracle's float CDF, against the library's draw from the support.
+`reference_cancel_adjacent` is the pair cancellation with a rescan per gate;
+the library's one-pass form must return the same list. `route` and
+`peephole_optimize` must keep the oracle's distribution of random circuits,
+and the rewriting must not raise the norm.
 `classical_period_per_distance` is the optimal classical period finder with
 one score update per new distance; the library's batched updates must give
 the same ledgers, period and cost. `classical_period_reference` restates it
@@ -44,16 +52,21 @@ from noisysimon.noise import NoiseParams, _sample_chunk
 from noisysimon.simon import SimonFunction
 from noisysimon.smoothing import permutation_configurations
 from noisysimon.solvers import CostReport, QueryLedger, _solve_full_rank, classical_period
-from noisysimon.statevector import exact_output_distribution
+from noisysimon.statevector import exact_output_distribution, output_support
 from noisysimon.transpile import (
+    Configuration,
     TopologyGraph,
+    _cancel_adjacent,
     _embeddings,
     _interaction_edges,
     _label_key,
+    circuit_norm,
     compile_simon_circuit,
     peephole_optimize,
+    route,
     search_min_configuration,
 )
+from statevector_oracle import statevector_distribution
 
 # ---------------------------------------------------------------------------
 # Sampler
@@ -84,7 +97,7 @@ def reference_mask(code, fx, fzx):
 
 def reference_sample_chunk(circuit, noise, shots, rng):
     gates, width, measured = circuit.gates, circuit.width, circuit.measured
-    cdf = np.cumsum(exact_output_distribution(circuit))
+    cdf = np.cumsum(statevector_distribution(circuit))
     cdf[-1] = 1.0
     masks = np.zeros(shots, dtype=np.int64)
     if gates and (noise.eps1 > 0 or noise.eps2 > 0 or noise.crosstalk > 0):
@@ -165,7 +178,7 @@ noise_params = st.builds(
 def test_sampler_matches_per_event_reference(circuit, noise, shots, seed):
     fast_rng = np.random.default_rng(seed)
     slow_rng = np.random.default_rng(seed)
-    fast = _sample_chunk(circuit, noise, shots, fast_rng)
+    fast = _sample_chunk(circuit, noise, shots, fast_rng, output_support(circuit))
     slow = reference_sample_chunk(circuit, noise, shots, slow_rng)
     assert fast.dtype == slow.dtype and np.array_equal(fast, slow)
     assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
@@ -235,12 +248,31 @@ def reference_exact_distribution(circuit):
     return reference_measured_marginal(state, circuit.measured, width)
 
 
+def assert_uniform_on_oracle_support(circuit, oracle):
+    """The library's distribution is exactly 1/K on the K outcomes the oracle
+    gives nonzero probability (at least 1/2^m each) and exactly 0 elsewhere."""
+    got = exact_output_distribution(circuit)
+    support = np.flatnonzero(oracle > 0.5 / oracle.size)
+    k = support.size
+    assert k & (k - 1) == 0 and np.allclose(oracle[support], 1.0 / k, rtol=0, atol=1e-12)
+    want = np.zeros(oracle.size)
+    want[support] = 1.0 / k
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert np.array_equal(output_support(circuit), support)
+
+
 @settings(max_examples=300, deadline=None)
 @given(circuits(max_width=10))
 def test_exact_distribution_matches_complex_reference(circuit):
-    got = exact_output_distribution(circuit)
+    got = statevector_distribution(circuit)
     assert got.dtype == np.float64
     assert got.tobytes() == reference_exact_distribution(circuit).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuits(max_width=10))
+def test_exact_distribution_uniform_on_oracle_support(circuit):
+    assert_uniform_on_oracle_support(circuit, statevector_distribution(circuit))
 
 
 def test_exact_distribution_matches_complex_reference_on_compiled_circuits(graph):
@@ -251,9 +283,59 @@ def test_exact_distribution_matches_complex_reference_on_compiled_circuits(graph
         for cfg in configs:
             circ = compile_simon_circuit(f, graph, cfg)
             for c in (circ, append_measurement_flips(circ)):
-                assert exact_output_distribution(c).tobytes() == (
-                    reference_exact_distribution(c).tobytes()
-                )
+                oracle = statevector_distribution(c)
+                assert oracle.tobytes() == reference_exact_distribution(c).tobytes()
+                assert_uniform_on_oracle_support(c, oracle)
+
+
+# ---------------------------------------------------------------------------
+# Peephole rewriting and routing
+
+
+def reference_cancel_adjacent(gates):
+    """R1 + R2 to fixpoint, rescanning the rest of the list for every gate."""
+    changed = True
+    while changed:
+        changed = False
+        removed = [False] * len(gates)
+        for i, g in enumerate(gates):
+            if removed[i] or g.kind not in (CNOT, H):
+                continue
+            qs = set(g.qubits)
+            for j in range(i + 1, len(gates)):
+                if removed[j] or not (qs & set(gates[j].qubits)):
+                    continue
+                if gates[j] == g:
+                    removed[i] = removed[j] = True
+                    changed = True
+                break
+        if changed:
+            gates = [g for k, g in enumerate(gates) if not removed[k]]
+    return gates
+
+
+@settings(max_examples=400, deadline=None)
+@given(circuits(max_width=4))
+def test_cancel_adjacent_matches_rescan_reference(circuit):
+    # narrow circuits, so that gates meet and cancel often
+    gates = list(circuit.gates)
+    assert _cancel_adjacent(list(gates)) == reference_cancel_adjacent(gates)
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuit=circuits(), data=st.data())
+def test_route_and_peephole_preserve_distribution(graph, circuit, data):
+    placement = data.draw(st.permutations(range(graph.n)))[: circuit.width]
+    config = Configuration.from_dict(dict(enumerate(placement)))
+    want = statevector_distribution(circuit)
+    optimized = peephole_optimize(circuit)
+    assert circuit_norm(optimized).value <= circuit_norm(circuit).value
+    assert np.allclose(statevector_distribution(optimized), want, rtol=0, atol=1e-12)
+    routed = route(circuit, graph, config)
+    assert np.allclose(statevector_distribution(routed), want, rtol=0, atol=1e-12)
+    compiled = peephole_optimize(routed)
+    assert circuit_norm(compiled).value <= circuit_norm(routed).value
+    assert np.allclose(statevector_distribution(compiled), want, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

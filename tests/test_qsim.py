@@ -7,13 +7,19 @@ from noisysimon.lsn import estimate_tau
 from noisysimon.multiset import MeasurementMultiset
 from noisysimon.noise import NoiseParams, sample_noisy
 from noisysimon.simon import SimonFunction
+from noisysimon import CapacityError
 from noisysimon.statevector import (
-    CapacityError,
+    MAX_SUPPORT_BITS,
+    circuits_equivalent,
+    exact_output_distribution,
+)
+from statevector_oracle import (
+    PAULI_Y,
     apply_cnot,
     apply_gate,
     apply_h,
-    circuits_equivalent,
-    exact_output_distribution,
+    apply_pauli,
+    measured_marginal,
     run_statevector,
     zero_state,
 )
@@ -79,6 +85,22 @@ def test_single_hadamard_and_empty_circuit():
     assert dist[0] == 1.0 and np.all(dist[1:] == 0.0)
 
 
+def test_sampling_is_not_limited_by_width():
+    """Sampling takes the support, not 2^width amplitudes: 40 wires are fine."""
+    circ = Circuit(40, (Gate(H, 39), Gate(CNOT, 0, control=39), Gate(X, 20)), (0, 39, 20))
+    assert exact_output_distribution(circ).tolist() == [0, 0, 0, 0, 0.5, 0, 0, 0.5]
+    m = sample_noisy(circ, NoiseParams.ideal(), 4096, seed=7)
+    assert set(m.counts) == {0b100, 0b111} and m.total == 4096
+
+
+def test_support_capacity_error():
+    """A support too large to materialise fails at once with CapacityError."""
+    wires = MAX_SUPPORT_BITS + 1
+    circ = Circuit(wires, tuple(Gate(H, q) for q in range(wires)), tuple(range(wires)))
+    with pytest.raises(CapacityError, match="support limit"):
+        sample_noisy(circ, NoiseParams.ideal(), 16, seed=0)
+
+
 def test_capacity_error():
     with pytest.raises(CapacityError):
         zero_state(29)
@@ -100,8 +122,6 @@ def test_statevector_norm_after_simon_circuit():
 
 
 def test_pauli_y_on_real_statevector_matches_complex_state():
-    from noisysimon.statevector import PAULI_Y, apply_pauli
-
     circ = build_simon_circuit(SimonFunction.default(3))
     real = run_statevector(circ)
     assert real.dtype == np.float64
@@ -177,7 +197,6 @@ def test_fault_propagation_matches_explicit_trajectories(compiled):
     """Injected Paulis are propagated to an end-of-circuit X-mask; check every
     injection site against a statevector run with the fault applied in place."""
     from noisysimon.noise import _fault_masks
-    from noisysimon.statevector import apply_pauli, measured_marginal
 
     _, _, _, circ = compiled[3]
     base = exact_output_distribution(circ)

@@ -53,7 +53,7 @@ def test_hamming_smooth_preserves_tau_exactly():
 
 def test_permutation_single_config_equals_plain_run(graph, noise, compiled):
     f, cfg, _, circ = compiled[3]
-    merged = permutation_smooth(f, graph, [cfg], 2048, noise, seed=17)
+    merged = permutation_smooth(f, graph, [circ], 2048, noise, seed=17)
     plain = sample_noisy(circ, noise, 2048, seed=17)
     assert merged.counts == plain.counts
 
@@ -61,14 +61,15 @@ def test_permutation_single_config_equals_plain_run(graph, noise, compiled):
 def test_permutation_rejects_non_minimal_config(graph, noise):
     f = SimonFunction.default(3)
     with pytest.raises(ValueError):
-        permutation_smooth(f, graph, [Configuration.naive(3)], 128, noise, seed=0)
+        naive = compile_simon_circuit(f, graph, Configuration.naive(3))
+        permutation_smooth(f, graph, [naive], 128, noise, seed=0)
 
 
 def test_permutation_merge_total(graph, noise, compiled):
     f, cfg, _, _ = compiled[2]
     rng = np.random.default_rng(1)
     cfgs = permutation_configurations(f, graph, 5, rng, base=cfg)
-    merged = permutation_smooth(f, graph, cfgs, 300, noise, seed=3)
+    merged = permutation_smooth(f, graph, [compile_simon_circuit(f, graph, c) for c in cfgs], 300, noise, seed=3)
     assert merged.total == 5 * 300
 
 
@@ -88,7 +89,7 @@ def test_permutation_narrows_equal_weight_gaps(graph, noise, compiled):
     raw = sample_noisy(circ, noise, 16384, seed=23)
     rng = np.random.default_rng(23)
     cfgs = permutation_configurations(f, graph, 16, rng, base=cfg)
-    merged = permutation_smooth(f, graph, cfgs, 1024, noise, seed=23)
+    merged = permutation_smooth(f, graph, [compile_simon_circuit(f, graph, c) for c in cfgs], 1024, noise, seed=23)
 
     def max_gap_within_weight_classes(m):
         freqs = {o: c / m.total for o, c in m.counts.items()}
@@ -107,7 +108,7 @@ def test_permutation_narrows_equal_weight_gaps(graph, noise, compiled):
 
 def test_double_flip_noiseless_matches_exact_distribution(graph, compiled):
     f, cfg, _, circ = compiled[3]
-    df = double_flip(f, graph, cfg, NoiseParams.ideal(), 4096, seed=29)
+    df = double_flip(circ, NoiseParams.ideal(), 4096, seed=29)
     assert df.total == 2 * 4096
     dist = exact_output_distribution(circ)
     emp = np.zeros(dist.size)
@@ -140,7 +141,7 @@ def test_double_flip_raises_tau(graph, noise, compiled):
     eps1, so resolving it needs enough shots to push sampling noise below."""
     f, cfg, _, circ = compiled[5]
     raw = sample_noisy(circ, noise, 131072, seed=37)
-    df = double_flip(f, graph, cfg, noise, 131072, seed=37)
+    df = double_flip(circ, noise, 131072, seed=37)
     assert estimate_tau(df, f.s) > estimate_tau(raw, f.s)
 
 
@@ -153,7 +154,7 @@ def test_kl_decreases_under_hamming_and_permutation_hamming(graph, noise, compil
         ham = hamming_smooth(raw, v)
         rng = np.random.default_rng(41 + n)
         cfgs = permutation_configurations(f, graph, 16, rng, base=cfg)
-        perm = permutation_smooth(f, graph, cfgs, 2048, noise, seed=1000 + n)
+        perm = permutation_smooth(f, graph, [compile_simon_circuit(f, graph, c) for c in cfgs], 2048, noise, seed=1000 + n)
         ph = hamming_smooth(perm, v)
         params = LsnParams(n, params_tau, f.s)
         q_raw = quality_report(raw, params)

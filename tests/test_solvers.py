@@ -220,3 +220,14 @@ def test_sample_pool_from_multiset():
     pool = SamplePool.from_multiset(m)
     assert len(pool) == 3
     assert sorted(v.value for v in pool.samples) == [0b011, 0b011, 0b100]
+
+
+def test_sample_pool_from_ints():
+    values = np.array([3, 0, 7, 3], dtype=np.int64)
+    pool = SamplePool.from_ints(3, values)
+    assert pool == SamplePool.from_vectors([BitVec(3, int(v)) for v in values])
+    assert pool.values == (3, 0, 7, 3) and all(type(v) is int for v in pool.values)
+    assert pool.samples == tuple(BitVec(3, int(v)) for v in values) and len(pool) == 4
+    for bad in ([8], [-1], []):
+        with pytest.raises(ValueError):
+            SamplePool.from_ints(3, bad)

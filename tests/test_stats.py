@@ -102,6 +102,7 @@ def test_smoothing_order_on_synthetic_biased_data(graph, noise, compiled):
         permutation_smooth,
     )
     from noisysimon.noise import sample_noisy
+    from noisysimon.transpile import compile_simon_circuit
 
     f, cfg, _, circ = compiled[5]
     params = LsnParams(5, 0.1, f.s)
@@ -109,7 +110,8 @@ def test_smoothing_order_on_synthetic_biased_data(graph, noise, compiled):
     v = choose_hamming_vector(f.s)
     ham = hamming_smooth(raw, v)
     cfgs = permutation_configurations(f, graph, 24, np.random.default_rng(7), base=cfg)
-    ph = hamming_smooth(permutation_smooth(f, graph, cfgs, 2048, noise, seed=5), v)
+    circs = [compile_simon_circuit(f, graph, c) for c in cfgs]
+    ph = hamming_smooth(permutation_smooth(f, graph, circs, 2048, noise, seed=5), v)
     kl_raw = quality_report(raw, params).kl
     kl_ham = quality_report(ham, params).kl
     kl_ph = quality_report(ph, params).kl

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from noisysimon.gf2 import BitVec
 from noisysimon.simon import SimonFunction
 from noisysimon.statevector import circuits_equivalent
 from noisysimon.transpile import (
+    CapacityError,
     Configuration,
     RoutingError,
     TopologyGraph,
@@ -241,3 +243,24 @@ def test_melbourne_shape():
     for u, v in [(0, 1), (0, 14), (6, 8), (13, 14), (5, 9)]:
         assert g.are_adjacent(u, v)
     assert not g.are_adjacent(1, 6)
+
+
+def star(vertices):
+    return TopologyGraph.from_edges(vertices, [(0, i) for i in range(1, vertices)])
+
+
+def test_star_device_search_ends_in_seconds():
+    """A star has no swap-free placement for n >= 3: the centre cannot serve
+    both the x0-y1-x1 path and the (x2, y2) pair. The routed fallback then
+    searches every placement while there are few, and refuses at once when
+    there are too many (360,360 on a 15-vertex star)."""
+    f = SimonFunction.default(3)
+    start = time.perf_counter()
+    cfg, cn = search_min_configuration(f, star(6))  # 720 placements
+    circ = compile_simon_circuit(f, star(6), cfg)
+    assert circuit_norm(circ) == cn and cn.value > TABLE_CN[3]
+    assert circuits_equivalent(build_simon_circuit(f), circ, 1e-9)
+    with pytest.raises(CapacityError, match="360,360 placements"):
+        search_min_configuration(f, star(15))
+    assert search_min_configuration(SimonFunction.default(2), star(15))[1].value == TABLE_CN[2]
+    assert time.perf_counter() - start < 10.0
