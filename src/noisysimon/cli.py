@@ -241,6 +241,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_crossover(args) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
     out = _out_dir(args)
     rng = np.random.default_rng(args.seed)
     rows = []

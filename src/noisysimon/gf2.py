@@ -40,14 +40,6 @@ class BitVec:
             raise ValueError(f"value {self.value} out of range for n={self.n}")
 
     @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "BitVec":
-        """Build from coordinates given most significant first, as printed."""
-        value = 0
-        for b in bits:
-            value = (value << 1) | (b & 1)
-        return cls(len(bits), value)
-
-    @classmethod
     def from_string(cls, text: str) -> "BitVec":
         """Parse a text form like ``"011"`` (most significant coordinate first)."""
         if not all(c in "01" for c in text):
@@ -216,11 +208,11 @@ def nullspace_period(m: Gf2Matrix) -> BitVec:
 
     Requires rank n-1 so the nullspace is one-dimensional.
     """
-    r = rank(m)
-    if r != m.n - 1:
+    null = nullspace_ints(m.row_values(), m.n)
+    if len(null) != 1:
+        r = m.n - len(null)
         raise RankError(f"rank {r} != n-1 = {m.n - 1}: nullspace is not 1-dimensional")
-    (s,) = nullspace_ints(m.row_values(), m.n)
-    return BitVec(m.n, s)
+    return BitVec(m.n, null[0])
 
 
 def orthogonal_basis(s: BitVec) -> Gf2Matrix:

@@ -70,7 +70,7 @@ def estimate_tau(m: MeasurementMultiset, s: BitVec) -> float:
     """Fraction of counted outcomes not orthogonal to s."""
     if m.total == 0:
         raise EmptyMultisetError("cannot estimate the error rate of an empty multiset")
-    bad = sum(c for o, c in m.counts.items() if bin(o & s.value).count("1") % 2 == 1)
+    bad = sum(c for o, c in m.counts.items() if (o & s.value).bit_count() & 1)
     return bad / m.total
 
 

@@ -24,9 +24,12 @@ is not capped, but the support is materialised (at most 2^24 outcomes).
 The masks are accumulated in batch, as in a Pauli-frame simulator (Gidney,
 arXiv:2103.02202): a (gate, wire, Pauli) -> mask table is built once per
 circuit, and all fault events of a source are looked up in it and XORed into
-their shots with one `np.bitwise_xor.at`. The random draws keep fixed shapes
-and a fixed order, and XOR accumulation is order-free, so a seed's outcomes
-do not depend on how the masks are accumulated.
+their shots with one `np.bitwise_xor.at`. The table is read off the same
+pull-back that gives the support (`statevector.pauli_frames`): a Pauli flips
+outcome bit k iff it anticommutes with Z on wire measured[k] pulled back to
+where it is injected, so this module knows no gate kinds. The random draws
+keep fixed shapes and a fixed order, and XOR accumulation is order-free, so a
+seed's outcomes do not depend on how the masks are accumulated.
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .circuits import CNOT, Circuit, H
+from .circuits import Circuit
 from .multiset import MeasurementMultiset
-from .statevector import output_support
+from .statevector import output_support, pauli_frames
 
 PAULI_I, PAULI_X, PAULI_Y, PAULI_Z = 0, 1, 2, 3
 
@@ -114,28 +117,6 @@ def default_noise() -> NoiseParams:
     return NoiseParams.from_dict(json.loads(ref.read_text()))
 
 
-def _fault_masks(circuit: Circuit) -> np.ndarray:
-    """table[g, w, p]: end-of-circuit X-mask (bit per wire) of Pauli p injected
-    on wire w right after gate g. A Y behaves as X.Z, so its mask is the XOR of
-    theirs; Z components only produce phases, which cannot change outcomes."""
-    width = circuit.width
-    table = np.zeros((len(circuit.gates), width, 4), dtype=np.int64)
-    fx = [1 << w for w in range(width)]
-    fzx = [0] * width
-    for gi, g in reversed(list(enumerate(circuit.gates))):
-        table[gi, :, PAULI_X] = fx
-        table[gi, :, PAULI_Z] = fzx
-        if g.kind == H:
-            fx[g.target], fzx[g.target] = fzx[g.target], fx[g.target]
-        elif g.kind == CNOT:
-            c, t = g.control, g.target
-            fx[c] ^= fx[t]
-            fzx[t] ^= fzx[c]
-        # X gates commute with fault propagation up to phase
-    table[:, :, PAULI_Y] = table[:, :, PAULI_X] ^ table[:, :, PAULI_Z]
-    return table
-
-
 def _sample_chunk(
     circuit: Circuit, noise: NoiseParams, shots: int, rng: np.random.Generator, support: np.ndarray
 ) -> np.ndarray:
@@ -147,10 +128,11 @@ def _sample_chunk(
     # Per-shot fault masks over the outcome bits (bit k is wire measured[k]).
     masks = np.zeros(shots, dtype=np.int64)
     if gates and (noise.eps1 > 0 or noise.eps2 > 0 or noise.crosstalk > 0):
-        wire_table = _fault_masks(circuit)
-        table = np.zeros_like(wire_table)
-        for k, q in enumerate(measured):
-            table |= ((wire_table >> q) & 1) << k
+        # table[g, w, p]: the outcome bits Pauli p on wire w right after gate
+        # g flips (I none, X those of z[w], Y those of x[w] ^ z[w], Z x[w])
+        frames, _ = pauli_frames(circuit)
+        x, z = frames[:, 0], frames[:, 1]
+        table = np.stack([np.zeros_like(x), z, x ^ z, x], axis=-1)
         err = np.array([noise.eps2 if g.arity == 2 else noise.eps1 for g in gates])
         hit = rng.random((shots, len(gates))) < err
         shot_idx, gate_idx = np.divmod(np.flatnonzero(hit), len(gates))

@@ -37,6 +37,7 @@ def lpn_samples_to_csv(samples: Sequence[LpnSample], path) -> None:
 
 
 def lpn_samples_from_csv(path) -> List[LpnSample]:
+    """The `a,b` rows of `path`; every a has the same length and b is 0 or 1."""
     from pathlib import Path
 
     out = []
@@ -45,6 +46,10 @@ def lpn_samples_from_csv(path) -> List[LpnSample]:
         if not line or line.startswith("#") or line == "a,b":
             continue
         a, b = line.split(",")
+        if b not in ("0", "1"):
+            raise ValueError(f"label {b!r} is not 0 or 1 in {path}")
+        if out and len(a) != out[0].a.n:
+            raise ValueError(f"inconsistent sample length in {path}")
         out.append(LpnSample(BitVec.from_string(a), int(b)))
     return out
 
@@ -86,7 +91,7 @@ def lpn_model_distribution(params: LsnParams) -> Dict[Tuple[int, int], float]:
     n, tau, s = params.n, params.tau, params.s.value
     out = {}
     for a in range(1 << n):
-        pa = bin(a & s).count("1") & 1
+        pa = (a & s).bit_count() & 1
         out[(a, pa)] = (1.0 - tau) / (1 << n)
         out[(a, pa ^ 1)] = tau / (1 << n)
     return out

@@ -25,20 +25,26 @@ from .transpile import CapacityError
 MAX_SUPPORT_BITS = 24
 
 
-def _pulled_back_rows(circuit: Circuit):
-    """Z on each measured wire conjugated back to the start of the circuit.
+def pauli_frames(circuit: Circuit):
+    """Z on each measured wire conjugated back through the gates.
 
-    Row k is (-1)^sign_k X^x_k Z^z_k. The rows are kept bit-parallel while
-    the gates are walked in reverse: x[w] and z[w] hold bit k when row k has
-    an X / Z on wire w, and bit k of `sign` is row k's sign. Returns the
-    rows as (x part, z part, sign) with the parts as wire bitmasks.
+    Row k is (-1)^sign_k X^x_k Z^z_k, kept bit-parallel while the gates are
+    walked in reverse: x[w] and z[w] hold bit k when row k has an X / Z on
+    wire w, and bit k of `sign` is row k's sign. Returns (frames, rows).
+    frames[g] = (x, z), an int64 array of shape (2, width), is taken right
+    after gate g: a Pauli injected there on wire w flips outcome bit k iff it
+    anticommutes with row k, so X flips the bits of z[w], Z those of x[w] and
+    Y both. rows are the rows at the start of the circuit as (x part, z part,
+    sign), the parts as wire bitmasks.
     """
     x = [0] * circuit.width
     z = [0] * circuit.width
     for k, q in enumerate(circuit.measured):
         z[q] |= 1 << k
     sign = 0
+    frames = []
     for g in reversed(circuit.gates):
+        frames.append(x + z)
         a = g.target
         if g.kind == H:
             sign ^= x[a] & z[a]
@@ -48,12 +54,13 @@ def _pulled_back_rows(circuit: Circuit):
         elif g.kind == CNOT:
             x[a] ^= x[g.control]
             z[g.control] ^= z[a]
+    frames = np.array(frames[::-1], dtype=np.int64).reshape(len(frames), 2, circuit.width)
     rows = []
     for k in range(len(circuit.measured)):
         xr = sum(((x[w] >> k) & 1) << w for w in range(circuit.width))
         zr = sum(((z[w] >> k) & 1) << w for w in range(circuit.width))
         rows.append((xr, zr, (sign >> k) & 1))
-    return rows
+    return frames, rows
 
 
 def output_support(circuit: Circuit) -> np.ndarray:
@@ -68,7 +75,7 @@ def output_support(circuit: Circuit) -> np.ndarray:
     # X^x1 Z^z1 . X^x2 Z^z2 = (-1)^|z1 & x2| X^(x1^x2) Z^(z1^z2).
     pivots = []  # (lowest X bit, row)
     fixed = []  # u | sign << m for every u whose product has no X part
-    for k, (xr, zr, s) in enumerate(_pulled_back_rows(circuit)):
+    for k, (xr, zr, s) in enumerate(pauli_frames(circuit)[1]):
         u = 1 << k
         for low, (px, pz, ps, pu) in pivots:
             if xr & low:

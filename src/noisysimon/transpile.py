@@ -58,6 +58,8 @@ class TopologyGraph:
     edges: FrozenSet[Tuple[int, int]]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n, int) or self.n < 0:
+            raise ValueError(f"vertex count {self.n!r} is not a non-negative integer")
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
@@ -70,8 +72,12 @@ class TopologyGraph:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "TopologyGraph":
+        """The graph from its JSON form {"vertices": n, "edges": [[u, v], ...]}."""
         d = json.loads(Path(path).read_text())
-        return cls.from_edges(d["vertices"], d["edges"])
+        try:
+            return cls.from_edges(d["vertices"], d["edges"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f'malformed topology (needs "vertices" and "edges"): {exc}') from exc
 
     def to_json(self, path: str | Path | None = None) -> str:
         text = json.dumps({"vertices": self.n, "edges": sorted(map(list, self.edges))})
@@ -183,9 +189,6 @@ class Configuration:
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self.items)
-
-    def vertex_of(self, label: str) -> int:
-        return self.as_dict()[label]
 
     def vertices(self) -> Tuple[int, ...]:
         return tuple(v for _, v in self.items)
@@ -536,10 +539,13 @@ def _search(
     return [best_cfg], best_cn
 
 
+@functools.lru_cache(maxsize=64)
 def search_min_configuration(
     f: SimonFunction, graph: TopologyGraph
 ) -> Tuple[Configuration, CircuitNorm]:
-    """A configuration whose routed+optimized circuit attains the minimum norm."""
+    """A configuration whose routed+optimized circuit attains the minimum norm,
+    searched once per distinct (f, graph) (both are frozen, the result is
+    immutable)."""
     configs, cn = _search(f, graph, limit=1)
     return configs[0], cn
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import noisysimon
-from noisysimon import cli, smoothing
+from noisysimon import cli, smoothing, transpile
 from noisysimon.cli import TECHNIQUES, main
 from noisysimon.multiset import MeasurementMultiset
 
@@ -122,7 +122,7 @@ def test_smooth_all_matches_single_technique_runs(tmp_path):
 
 
 def test_smooth_all_samples_each_base_multiset_once(tmp_path, monkeypatch):
-    calls = {"sample": 0, "compile": 0}
+    calls = {"sample": 0, "compile": 0, "search": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -135,11 +135,17 @@ def test_smooth_all_samples_each_base_multiset_once(tmp_path, monkeypatch):
     # smoothing takes compiled circuits, so only the CLI compiles
     assert not hasattr(smoothing, "compile_simon_circuit")
     monkeypatch.setattr(cli, "compile_simon_circuit", counted("compile", cli.compile_simon_circuit))
-    assert main(["--out-dir", str(tmp_path), "smooth", "--n", "5", "--shots", "2048"]) == 0
+    monkeypatch.setattr(transpile, "_search", counted("search", transpile._search))
+    transpile.search_min_configuration.cache_clear()
+    try:
+        assert main(["--out-dir", str(tmp_path), "smooth", "--n", "5", "--shots", "2048"]) == 0
+    finally:
+        transpile.search_min_configuration.cache_clear()
     # none 1 + permutation 50 + double-flip 2 + permutation/double-flip 100;
     # the two Hamming rows shift the none and permutation multisets, and the
-    # double-flip rows reuse the 1 + 50 compiled circuits
-    assert calls == {"sample": 153, "compile": 51}
+    # double-flip rows reuse the 1 + 50 compiled circuits; permutation_smooth
+    # reads the minimum norm off the search cmd_smooth made
+    assert calls == {"sample": 153, "compile": 51, "search": 1}
 
 
 def test_smooth_honours_workers_in_every_row(tmp_path):
@@ -221,6 +227,8 @@ def test_bad_input_gives_one_line_error(tmp_path, capsys):
     split.write_text(json.dumps({"vertices": 4, "edges": [[0, 1], [2, 3]]}))
     star = tmp_path / "star.json"
     star.write_text(json.dumps({"vertices": 15, "edges": [[0, i] for i in range(1, 15)]}))
+    no_edges = tmp_path / "no_edges.json"
+    no_edges.write_text("{}")
     cases = [
         (["--topology", str(star), "transpile-report", "--n-min", "3", "--n-max", "3"],
          "no swap-free placement"),
@@ -229,6 +237,8 @@ def test_bad_input_gives_one_line_error(tmp_path, capsys):
         (["measure", "--n", "8"], "need 16 wires but the device has 15"),
         (["--noise", str(bad_noise), "measure", "--n", "2"], "Expecting property name"),
         (["--noise", str(tmp_path / "missing.json"), "measure", "--n", "2"], "No such file"),
+        (["--topology", str(no_edges), "measure", "--n", "2"], "malformed topology"),
+        (["crossover", "--trials", "0"], "--trials must be >= 1"),
     ]
     for argv, message in cases:
         assert main(["--out-dir", str(tmp_path)] + argv) == 2

@@ -12,6 +12,7 @@ from noisysimon.statevector import (
     MAX_SUPPORT_BITS,
     circuits_equivalent,
     exact_output_distribution,
+    pauli_frames,
 )
 from statevector_oracle import (
     PAULI_Y,
@@ -194,15 +195,15 @@ def test_multiset_csv_round_trip(tmp_path, compiled):
 
 
 def test_fault_propagation_matches_explicit_trajectories(compiled):
-    """Injected Paulis are propagated to an end-of-circuit X-mask; check every
-    injection site against a statevector run with the fault applied in place."""
-    from noisysimon.noise import _fault_masks
-
+    """A Pauli injected right after a gate flips the outcome bits it
+    anticommutes with in the pulled-back Z rows; check every injection site
+    against a statevector run with the fault applied in place."""
     _, _, _, circ = compiled[3]
     base = exact_output_distribution(circ)
-    table = _fault_masks(circ)
+    frames, _ = pauli_frames(circ)
     for g_idx in range(len(circ.gates)):
         for wire in range(circ.width):
+            x, z = (int(v) for v in frames[g_idx, :, wire])
             for code in (1, 2, 3):
                 state = zero_state(circ.width)
                 for k, gate in enumerate(circ.gates):
@@ -210,10 +211,7 @@ def test_fault_propagation_matches_explicit_trajectories(compiled):
                     if k == g_idx:
                         state = apply_pauli(state, code, wire, circ.width)
                 slow = measured_marginal(state, circ.measured, circ.width)
-                mask = int(table[g_idx, wire, code])
-                out_mask = 0
-                for k, q in enumerate(circ.measured):
-                    out_mask |= ((mask >> q) & 1) << k
+                out_mask = {1: z, 2: x ^ z, 3: x}[code]
                 fast = base[np.arange(base.size) ^ out_mask]
                 assert np.max(np.abs(slow - fast)) < 1e-12
 

@@ -300,3 +300,16 @@ def test_lpn_sample_csv_round_trip(tmp_path):
     path = tmp_path / "samples.csv"
     lpn_samples_to_csv(samples, path)
     assert lpn_samples_from_csv(path) == samples
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a,b\n101,2\n", "label '2' is not 0 or 1"),
+    ("a,b\n101,1\n11,1\n", "inconsistent sample length"),
+])
+def test_lpn_sample_csv_rejects_bad_rows(tmp_path, text, message):
+    from noisysimon.reductions import lpn_samples_from_csv
+
+    path = tmp_path / "samples.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        lpn_samples_from_csv(path)
