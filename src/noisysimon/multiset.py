@@ -74,10 +74,14 @@ class MeasurementMultiset:
         return np.repeat(keys, reps)
 
     def to_csv(self, path: str | Path, header: Mapping[str, str] | None = None) -> None:
-        """Write `outcome,count` rows, outcome as an MSB-first bitstring."""
+        """Write `outcome,count` rows, outcome as an MSB-first bitstring,
+        after one `# key=value` comment line per header entry."""
         lines = []
         for key, value in (header or {}).items():
-            lines.append(f"# {key}={value}")
+            line = f"# {key}={value}"
+            if line.splitlines() != [line]:
+                raise ValueError(f"header entry {key!r} has a line break")
+            lines.append(line)
         lines.append("outcome,count")
         for o in sorted(self.counts):
             lines.append(f"{format(o, f'0{self.n}b')},{self.counts[o]}")

@@ -30,6 +30,14 @@ outcome bit k iff it anticommutes with Z on wire measured[k] pulled back to
 where it is injected, so this module knows no gate kinds. The random draws
 keep fixed shapes and a fixed order, and XOR accumulation is order-free, so a
 seed's outcomes do not depend on how the masks are accumulated.
+
+Each (shots, cols) field of uniforms, a fault source's or a single stream
+like the readout flips of one bit, is drawn in blocks of whole rows into one
+reused buffer of DRAW_BLOCK doubles (`_uniforms`), and a fault field keeps
+only its hits. Blocks of a row-major field are the same doubles in the same
+order, so the outcomes and the generator's final state are those of one
+(shots, cols) draw, while the transient memory is O(shots + DRAW_BLOCK)
+rather than O(shots x gates).
 """
 
 from __future__ import annotations
@@ -44,9 +52,12 @@ import numpy as np
 
 from .circuits import Circuit
 from .multiset import MeasurementMultiset
-from .statevector import output_support, pauli_frames
+from .statevector import frames_and_support
 
 PAULI_I, PAULI_X, PAULI_Y, PAULI_Z = 0, 1, 2, 3
+
+# Doubles per block of uniforms (512 KiB); see `_uniforms`.
+DRAW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -117,25 +128,55 @@ def default_noise() -> NoiseParams:
     return NoiseParams.from_dict(json.loads(ref.read_text()))
 
 
+def _uniforms(rng: np.random.Generator, shots: int, cols: int, buf: np.ndarray):
+    """Yield (first shot, block) over the doubles of `rng.random((shots,
+    cols))`, the block flat and holding as many whole rows as fit in
+    DRAW_BLOCK doubles, at least one; `buf` holds max(DRAW_BLOCK, cols).
+
+    A row-major field is the same sequence of doubles as its blocks of rows
+    drawn one after another, so the generator ends in the same state too.
+    """
+    rows = max(1, DRAW_BLOCK // cols)
+    for start in range(0, shots, rows):
+        u = buf[: min(rows, shots - start) * cols]
+        rng.random(out=u)
+        yield start, u
+
+
+def _hits(rng: np.random.Generator, shots: int, cols: int, p, buf: np.ndarray) -> np.ndarray:
+    """Flat indices (shot * cols + col) of the uniforms below `p` (a scalar
+    or one rate per column) in the (shots, cols) field of `_uniforms`."""
+    if cols == 0:
+        return np.zeros(0, dtype=np.intp)
+    return np.concatenate([
+        np.flatnonzero(u.reshape(-1, cols) < p) + start * cols
+        for start, u in _uniforms(rng, shots, cols, buf)
+    ])
+
+
 def _sample_chunk(
-    circuit: Circuit, noise: NoiseParams, shots: int, rng: np.random.Generator, support: np.ndarray
+    circuit: Circuit,
+    noise: NoiseParams,
+    shots: int,
+    rng: np.random.Generator,
+    frames: np.ndarray,
+    support: np.ndarray,
 ) -> np.ndarray:
-    """`shots` outcomes; `support` is `output_support(circuit)`."""
+    """`shots` outcomes; `frames, support` are `frames_and_support(circuit)`."""
     gates = circuit.gates
     width = circuit.width
     measured = circuit.measured
 
     # Per-shot fault masks over the outcome bits (bit k is wire measured[k]).
     masks = np.zeros(shots, dtype=np.int64)
+    buf = np.empty(max(DRAW_BLOCK, len(gates), width))
     if gates and (noise.eps1 > 0 or noise.eps2 > 0 or noise.crosstalk > 0):
         # table[g, w, p]: the outcome bits Pauli p on wire w right after gate
         # g flips (I none, X those of z[w], Y those of x[w] ^ z[w], Z x[w])
-        frames, _ = pauli_frames(circuit)
         x, z = frames[:, 0], frames[:, 1]
         table = np.stack([np.zeros_like(x), z, x ^ z, x], axis=-1)
         err = np.array([noise.eps2 if g.arity == 2 else noise.eps1 for g in gates])
-        hit = rng.random((shots, len(gates))) < err
-        shot_idx, gate_idx = np.divmod(np.flatnonzero(hit), len(gates))
+        shot_idx, gate_idx = np.divmod(_hits(rng, shots, len(gates), err, buf), len(gates))
         if shot_idx.size:
             codes = rng.integers(0, 4, size=(shot_idx.size, 2))
             # qubits[0] is a CNOT's control; for a one-qubit gate it is the
@@ -150,23 +191,27 @@ def _sample_chunk(
                 if g.arity != 2:
                     continue
                 others = np.array([w for w in range(width) if w not in g.qubits], dtype=np.intp)
-                hit_ct = rng.random((shots, others.size)) < noise.crosstalk
-                s_idx, w_idx = np.divmod(np.flatnonzero(hit_ct), others.size)
-                if not s_idx.size:
+                hits = _hits(rng, shots, others.size, noise.crosstalk, buf)
+                if not hits.size:
                     continue
+                s_idx, w_idx = np.divmod(hits, others.size)
                 ct_codes = rng.integers(0, 4, size=s_idx.size)
                 np.bitwise_xor.at(masks, s_idx, table[gi, others[w_idx], ct_codes])
 
-    # u * K is exact (K is a power of two), so the index is floor(u * K)
-    outcomes = support[(rng.random(shots) * support.size).astype(np.intp)]
-    outcomes ^= masks
+    # The noiseless outcomes are XORed into the masks in place, block by
+    # block. u * K is exact (K is a power of two), so the index is floor(u * K).
+    outcomes = masks
+    for start, u in _uniforms(rng, shots, 1, buf):
+        u *= support.size
+        outcomes[start : start + u.size] ^= support[u.astype(np.intp)]
 
     # Asymmetric readout flips, one stream per outcome bit, drawn whatever the
     # rates so that the stream layout does not depend on them.
     for k, q in enumerate(measured):
         flip_prob = np.array(noise.readout_for(circuit.label_of(q)))  # (p01, p10)
-        flips = rng.random(shots) < flip_prob[(outcomes >> k) & 1]
-        outcomes[flips] ^= 1 << k
+        for start, u in _uniforms(rng, shots, 1, buf):
+            block = outcomes[start : start + u.size]
+            block[u < flip_prob[(block >> k) & 1]] ^= 1 << k
     return outcomes
 
 
@@ -190,13 +235,13 @@ def sample_noisy(
         raise ValueError("workers must be >= 1")
     per = shots // workers
     extra = shots % workers
-    support = output_support(circuit)
+    frames, support = frames_and_support(circuit)
     outcome_chunks = []
     for w in range(workers):
         chunk = per + (1 if w < extra else 0)
         if chunk == 0:
             continue
         rng = np.random.default_rng(seed if seed is None else [int(seed), w])
-        outcome_chunks.append(_sample_chunk(circuit, noise, chunk, rng, support))
-    outcomes = np.concatenate(outcome_chunks)
+        outcome_chunks.append(_sample_chunk(circuit, noise, chunk, rng, frames, support))
+    outcomes = outcome_chunks[0] if len(outcome_chunks) == 1 else np.concatenate(outcome_chunks)
     return MeasurementMultiset.from_outcomes(len(circuit.measured), outcomes)

@@ -10,6 +10,7 @@ factor two in success probability per attempt and simply retry with fresh z.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -229,9 +230,19 @@ def chi_square_check(
     To parity: `samples` model samples become (y + b z, b). To subspace: as
     many parity-oracle samples (uniform a, label <a, s> flipped with
     probability tau) become a + b z. Each side is bucketed by its error bit
-    and a projection onto min(8, n - 1) coordinates.
+    and a projection onto min(8, n - 1) coordinates. ValueError is raised
+    when the smallest cell would expect fewer than 5 samples, the usual rule
+    below which a chi-square test has no power.
     """
     n, k = params.n, min(8, params.n - 1)
+    if params.tau == 0:
+        raise ValueError("the chi-square check needs tau > 0: half its cells expect no samples")
+    need = math.ceil(5 * (1 << k) / params.tau)  # tau / 2^k is the smallest cell
+    if samples < need:
+        raise ValueError(
+            f"{samples} samples are too few for the chi-square check at n={n}, "
+            f"tau={params.tau}: it needs at least {need}"
+        )
     a, b = lsn_samples_to_lpn(sample_many(params, samples, rng), z, rng)
     _, p_parity = chi_square_gof(*_lpn_counts(a, b, params, k))
     a = rng.integers(0, 1 << n, size=samples)

@@ -69,13 +69,19 @@ def output_support(circuit: Circuit) -> np.ndarray:
     Each is equally likely, and their number is a power of two, at most
     2^MAX_SUPPORT_BITS; CapacityError is raised for larger supports.
     """
+    return frames_and_support(circuit)[1]
+
+
+def frames_and_support(circuit: Circuit):
+    """(`pauli_frames(circuit)[0]`, `output_support(circuit)`) from one walk."""
+    frames, rows = pauli_frames(circuit)
     m = len(circuit.measured)
     # Eliminate the X parts. Each row also carries u, the set of measured
     # wires whose Z-product it is, and multiplies as
     # X^x1 Z^z1 . X^x2 Z^z2 = (-1)^|z1 & x2| X^(x1^x2) Z^(z1^z2).
     pivots = []  # (lowest X bit, row)
     fixed = []  # u | sign << m for every u whose product has no X part
-    for k, (xr, zr, s) in enumerate(pauli_frames(circuit)[1]):
+    for k, (xr, zr, s) in enumerate(rows):
         u = 1 << k
         for low, (px, pz, ps, pu) in pivots:
             if xr & low:
@@ -101,7 +107,7 @@ def output_support(circuit: Circuit) -> np.ndarray:
     for v in free:
         support = np.concatenate([support, support ^ v])
     support.sort()
-    return support
+    return frames, support
 
 
 def exact_output_distribution(circuit: Circuit) -> np.ndarray:

@@ -161,7 +161,7 @@ def _norm_of(gates: Sequence[Gate]) -> int:
 def _label_key(label) -> Tuple[str, int, str]:
     text = str(label)
     head, tail = text[:1], text[1:]
-    if tail.isdigit():
+    if tail.isdecimal():  # isdigit() also takes digits int() rejects, like "²"
         return (head, int(tail), "")
     return (head, -1, text)
 

@@ -34,7 +34,7 @@ from noisysimon.solvers import (
     pooled_gauss_lpn,
     pooled_lsn,
 )
-from noisysimon.statevector import output_support
+from noisysimon.statevector import frames_and_support
 from noisysimon.transpile import enumerate_min_configurations
 
 SEED = 20260808
@@ -60,8 +60,8 @@ def noise_variant(noise, circuit, variant):
 
 
 def outcomes_digest(circuit, noise, shots):
-    support = output_support(circuit)
-    out = _sample_chunk(circuit, noise, shots, np.random.default_rng(SEED), support)
+    rng = np.random.default_rng(SEED)
+    out = _sample_chunk(circuit, noise, shots, rng, *frames_and_support(circuit))
     return _sha(out.astype("<i8").tobytes())
 
 

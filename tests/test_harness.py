@@ -239,6 +239,8 @@ def test_bad_input_gives_one_line_error(tmp_path, capsys):
         (["--noise", str(tmp_path / "missing.json"), "measure", "--n", "2"], "No such file"),
         (["--topology", str(no_edges), "measure", "--n", "2"], "malformed topology"),
         (["crossover", "--trials", "0"], "--trials must be >= 1"),
+        (["reduction-check", "--n", "6", "--samples", "5"], "it needs at least 1600"),
+        (["reduction-check", "--n", "6", "--samples", "0"], "it needs at least 1600"),
     ]
     for argv, message in cases:
         assert main(["--out-dir", str(tmp_path)] + argv) == 2

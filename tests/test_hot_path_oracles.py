@@ -3,8 +3,9 @@
 `reference_sample_chunk` is the sampler as a loop over single fault events,
 with the fault masks propagated as Python ints; the library's table-driven
 sampler must return the same outcomes and leave its generator in the same
-state. `reference_embeddings` is the placement search without look-ahead;
-the library's search must emit the same embeddings in the same order, and
+state, also with its draw block shrunk below a row. `reference_embeddings`
+is the placement search without look-ahead; the library's search must emit
+the same embeddings in the same order, and
 networkx's VF2 matcher must count as many.
 `reference_echelon` and `reference_solve_full_rank` are the eliminations with
 a separate back-substitution pass; the library's one-pass Gauss-Jordan forms
@@ -31,6 +32,7 @@ import itertools
 
 import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
@@ -38,6 +40,7 @@ from networkx.algorithms.isomorphism import GraphMatcher
 import math
 from typing import Callable, List, Optional, Tuple
 
+from noisysimon import noise as noise_module
 from noisysimon.circuits import (
     CNOT,
     Circuit,
@@ -52,7 +55,7 @@ from noisysimon.noise import NoiseParams, _sample_chunk
 from noisysimon.simon import SimonFunction
 from noisysimon.smoothing import permutation_configurations
 from noisysimon.solvers import CostReport, QueryLedger, _solve_full_rank, classical_period
-from noisysimon.statevector import exact_output_distribution, output_support
+from noisysimon.statevector import exact_output_distribution, frames_and_support, output_support
 from noisysimon.transpile import (
     Configuration,
     TopologyGraph,
@@ -178,7 +181,28 @@ noise_params = st.builds(
 def test_sampler_matches_per_event_reference(circuit, noise, shots, seed):
     fast_rng = np.random.default_rng(seed)
     slow_rng = np.random.default_rng(seed)
-    fast = _sample_chunk(circuit, noise, shots, fast_rng, output_support(circuit))
+    fast = _sample_chunk(circuit, noise, shots, fast_rng, *frames_and_support(circuit))
+    slow = reference_sample_chunk(circuit, noise, shots, slow_rng)
+    assert fast.dtype == slow.dtype and np.array_equal(fast, slow)
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(circuits(max_width=2), circuits()),
+    noise_params,
+    st.integers(1, 300),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 100),
+)
+def test_sampler_matches_reference_across_draw_blocks(circuit, noise, shots, seed, block):
+    """Blocks of uniforms smaller than a row, and ones that do not divide
+    the shots, draw the same stream as one (shots, cols) field."""
+    fast_rng = np.random.default_rng(seed)
+    slow_rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(noise_module, "DRAW_BLOCK", block)
+        fast = _sample_chunk(circuit, noise, shots, fast_rng, *frames_and_support(circuit))
     slow = reference_sample_chunk(circuit, noise, shots, slow_rng)
     assert fast.dtype == slow.dtype and np.array_equal(fast, slow)
     assert fast_rng.bit_generator.state == slow_rng.bit_generator.state

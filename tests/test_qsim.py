@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from noisysimon import noise as noise_module
+from noisysimon import statevector
 from noisysimon.circuits import CNOT, Circuit, Gate, H, X, build_simon_circuit
 from noisysimon.gf2 import BitVec
 from noisysimon.lsn import estimate_tau
@@ -157,6 +161,36 @@ def test_sampling_deterministic_and_worker_split(compiled):
     d = sample_noisy(circ, noise, 4096, seed=99, workers=3)
     assert c.counts == d.counts
     assert c.total == 4096
+
+
+def test_one_pauli_walk_per_sample_call(compiled, noise, monkeypatch):
+    walks = []
+    walk = statevector.pauli_frames
+
+    def counting(circuit):
+        walks.append(circuit)
+        return walk(circuit)
+
+    monkeypatch.setattr(statevector, "pauli_frames", counting)
+    monkeypatch.setattr(noise_module, "pauli_frames", counting, raising=False)
+    _, _, _, circ = compiled[4]
+    assert sample_noisy(circ, noise, 4096, seed=99, workers=3).total == 4096
+    assert walks == [circ]
+
+
+def test_sampler_memory_does_not_grow_with_shots_times_gates(compiled, noise):
+    """The fault fields are drawn in blocks: one n=7 call of 2^18 shots
+    (18 gates, 7 CNOTs with 11 other wires each) stays within 20 MiB traced,
+    though its (shots, gates) field of doubles alone would take 36 MiB."""
+    _, _, _, circ = compiled[7]
+    sample_noisy(circ, noise, 64, seed=1)
+    tracemalloc.start()
+    try:
+        sample_noisy(circ, noise, 1 << 18, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20
 
 
 def test_readout_bias_lowers_mean_weight(compiled):

@@ -1,0 +1,82 @@
+"""Property round-trips of the files the package writes and reads back: the
+multiset CSV, `Circuit` JSON (text and file), `Configuration` JSON and the
+LPN-sample CSV."""
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from noisysimon.circuits import Circuit
+from noisysimon.gf2 import BitVec
+from noisysimon.multiset import MeasurementMultiset
+from noisysimon.reductions import LpnSample, lpn_samples_from_csv, lpn_samples_to_csv
+from noisysimon.transpile import Configuration
+from test_hot_path_oracles import circuits
+
+one_line = st.text().filter(lambda t: f"#{t}".splitlines() == [f"#{t}"])
+
+
+@st.composite
+def multisets(draw):
+    n = draw(st.integers(1, 12))
+    counts = draw(st.dictionaries(st.integers(0, (1 << n) - 1), st.integers(0, 10**9),
+                                  min_size=1, max_size=40))
+    return MeasurementMultiset(n, counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multisets(), st.dictionaries(one_line, st.one_of(st.integers(), one_line), max_size=3))
+def test_multiset_csv_round_trip(tmp_path_factory, m, header):
+    path = tmp_path_factory.getbasetemp() / "multiset.csv"
+    m.to_csv(path, header=header)
+    assert MeasurementMultiset.from_csv(path) == m
+
+
+def test_multiset_csv_single_outcome_and_header_with_line_break(tmp_path):
+    path = tmp_path / "m.csv"
+    for m in (MeasurementMultiset(1, {1: 1}), MeasurementMultiset(1, {0: 5})):
+        m.to_csv(path)
+        assert MeasurementMultiset.from_csv(path) == m
+    for header in ({"note": "two\nlines"}, {"a\rb": 1}, {"v": "x\x0by"}):
+        with pytest.raises(ValueError, match="line break"):
+            m.to_csv(path, header=header)
+
+
+label = st.one_of(st.text(max_size=6), st.integers(-5, 40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuit=circuits(), data=st.data())
+def test_circuit_json_round_trip(tmp_path_factory, circuit, data):
+    if data.draw(st.booleans()):
+        labels = data.draw(st.lists(label, min_size=circuit.width, max_size=circuit.width))
+        circuit = Circuit(circuit.width, circuit.gates, circuit.measured, tuple(labels))
+    path = tmp_path_factory.getbasetemp() / "circuit.json"
+    text = circuit.to_json(path)
+    assert Circuit.from_json(text) == circuit
+    assert Circuit.from_json_file(path) == circuit
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(max_size=6), st.integers(0, 100), max_size=16)
+       .filter(lambda d: len(set(d.values())) == len(d)))
+@example({"x\u00b2": 0, "y1": 1})  # "\u00b2".isdigit(), but int() rejects it
+def test_configuration_json_round_trip(assign):
+    config = Configuration.from_dict(assign)
+    back = Configuration.from_json(config.to_json())
+    assert back == config and back.as_dict() == assign
+
+
+@st.composite
+def lpn_samples(draw):
+    n = draw(st.integers(0, 20))
+    rows = st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, 1))
+    return [LpnSample(BitVec(n, a), b) for a, b in draw(st.lists(rows, max_size=30))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(lpn_samples())
+def test_lpn_csv_round_trip(tmp_path_factory, samples):
+    path = tmp_path_factory.getbasetemp() / "lpn.csv"
+    lpn_samples_to_csv(samples, path)
+    assert lpn_samples_from_csv(path) == samples
