@@ -10,19 +10,7 @@ optimal classical searcher and pooled linear-algebra solvers.
 
 __version__ = "0.1.0"
 
-from .gf2 import (
-    BitVec,
-    DimensionError,
-    Gf2Matrix,
-    RankError,
-    add,
-    hamming_weight,
-    in_span,
-    inner_product,
-    nullspace_period,
-    orthogonal_basis,
-    rank,
-)
+from .gf2 import BitVec, DimensionError, orthogonal_basis
 from .simon import SimonFunction, is_simon_function
 from .circuits import Circuit, Gate, build_simon_circuit, append_measurement_flips
 from .statevector import circuits_equivalent, exact_output_distribution
@@ -42,7 +30,7 @@ from .transpile import (
     route,
     search_min_configuration,
 )
-from .lsn import LsnParams, estimate_tau, model_distribution, sample, sample_many, sample_pool
+from .lsn import LsnParams, estimate_tau, model_distribution, sample, sample_many
 from .smoothing import (
     choose_hamming_vector,
     double_flip,

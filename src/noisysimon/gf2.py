@@ -1,5 +1,7 @@
-"""Bit-vector and matrix arithmetic over F_2 using int bitsets.
+"""Vectors over F_2 packed into ints, and linear algebra on lists of them.
 
+`BitVec` is the checked form used at the edges (text, lengths); rank,
+nullspace and orthogonal bases take and give rows as plain packed ints.
 Vectors are fixed-length with coordinate 0 stored in the least significant
 bit, so the text form ``"011"`` means x_2=0, x_1=1, x_0=1 (most significant
 coordinate printed first).
@@ -8,17 +10,13 @@ coordinate printed first).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
 
 class DimensionError(ValueError):
     """Operands have incompatible vector lengths."""
-
-
-class RankError(ValueError):
-    """Matrix rank does not admit the requested operation."""
 
 
 def parity(a: np.ndarray) -> np.ndarray:
@@ -53,13 +51,6 @@ class BitVec:
     @classmethod
     def ones(cls, n: int) -> "BitVec":
         return cls(n, (1 << n) - 1)
-
-    @classmethod
-    def unit(cls, n: int, i: int) -> "BitVec":
-        """Standard basis vector e_i."""
-        if not 0 <= i < n:
-            raise ValueError(f"coordinate {i} out of range for n={n}")
-        return cls(n, 1 << i)
 
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self.n:
@@ -97,47 +88,6 @@ class BitVec:
         return self.value.bit_count()
 
 
-def inner_product(x: BitVec, y: BitVec) -> int:
-    """<x, y> = sum x_i y_i mod 2."""
-    return x.inner(y)
-
-
-def hamming_weight(x: BitVec) -> int:
-    return x.weight()
-
-
-def add(x: BitVec, y: BitVec) -> BitVec:
-    """Coordinatewise XOR."""
-    return x ^ y
-
-
-@dataclass(frozen=True)
-class Gf2Matrix:
-    """List of equal-length rows over F_2."""
-
-    n: int
-    rows: tuple
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[BitVec], n: int | None = None) -> "Gf2Matrix":
-        rows = tuple(rows)
-        if n is None:
-            if not rows:
-                raise ValueError("cannot infer length from an empty matrix")
-            n = rows[0].n
-        for r in rows:
-            if r.n != n:
-                raise DimensionError(f"row length {r.n} != {n}")
-        return cls(n, rows)
-
-    @classmethod
-    def from_ints(cls, values: Iterable[int], n: int) -> "Gf2Matrix":
-        return cls(n, tuple(BitVec(n, v) for v in values))
-
-    def row_values(self) -> List[int]:
-        return [r.value for r in self.rows]
-
-
 def _echelon(values: Sequence[int], n: int) -> List[int]:
     """Reduced row echelon basis, pivots (lowest set bits) ascending.
 
@@ -163,27 +113,6 @@ def rank_ints(values: Sequence[int], n: int) -> int:
     return len(_echelon(values, n))
 
 
-def rank(m: Gf2Matrix) -> int:
-    """Gaussian-elimination rank."""
-    return rank_ints(m.row_values(), m.n)
-
-
-def in_span_ints(values: Sequence[int], y: int, n: int) -> bool:
-    basis = _echelon(values, n)
-    for row in basis:
-        piv = (row & -row).bit_length() - 1
-        if (y >> piv) & 1:
-            y ^= row
-    return y == 0
-
-
-def in_span(m: Gf2Matrix, y: BitVec) -> bool:
-    """True iff y lies in the row span (rank unchanged after appending y)."""
-    if y.n != m.n:
-        raise DimensionError(f"length mismatch: {y.n} vs {m.n}")
-    return in_span_ints(m.row_values(), y.value, m.n)
-
-
 def nullspace_ints(values: Sequence[int], n: int) -> List[int]:
     """Basis of {x : <x, row> = 0 for all rows}, one vector per free column."""
     basis = _echelon(values, n)
@@ -203,20 +132,8 @@ def nullspace_ints(values: Sequence[int], n: int) -> List[int]:
     return out
 
 
-def nullspace_period(m: Gf2Matrix) -> BitVec:
-    """The unique nonzero s orthogonal to all rows.
-
-    Requires rank n-1 so the nullspace is one-dimensional.
-    """
-    null = nullspace_ints(m.row_values(), m.n)
-    if len(null) != 1:
-        r = m.n - len(null)
-        raise RankError(f"rank {r} != n-1 = {m.n - 1}: nullspace is not 1-dimensional")
-    return BitVec(m.n, null[0])
-
-
-def orthogonal_basis(s: BitVec) -> Gf2Matrix:
-    """n-1 independent vectors spanning the subspace orthogonal to s."""
+def orthogonal_basis(s: BitVec) -> List[int]:
+    """n-1 independent packed ints spanning the subspace orthogonal to s."""
     if s.value == 0:
         raise ValueError("s must be nonzero")
     n = s.n
@@ -229,4 +146,4 @@ def orthogonal_basis(s: BitVec) -> Gf2Matrix:
         if (s.value >> j) & 1:
             v |= 1 << i0
         rows.append(v)
-    return Gf2Matrix.from_ints(rows, n)
+    return rows

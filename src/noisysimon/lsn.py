@@ -8,7 +8,6 @@ probability (1-tau)/2^(n-1) or tau/2^(n-1).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List
 
 import numpy as np
 
@@ -47,7 +46,7 @@ def sample_many(params: LsnParams, count: int, rng: np.random.Generator) -> np.n
     A sample is a uniform combination of an orthogonal-subspace basis, plus a
     fixed non-orthogonal shift when the error coin comes up.
     """
-    basis = [row.value for row in orthogonal_basis(params.s).rows]
+    basis = orthogonal_basis(params.s)
     out = np.zeros(count, dtype=np.int64)
     picks = rng.integers(0, 2, size=(count, len(basis)))
     for j, b in enumerate(basis):
@@ -73,6 +72,3 @@ def estimate_tau(m: MeasurementMultiset, s: BitVec) -> float:
     bad = sum(c for o, c in m.counts.items() if (o & s.value).bit_count() & 1)
     return bad / m.total
 
-
-def sample_pool(params: LsnParams, count: int, rng: np.random.Generator) -> List[BitVec]:
-    return [BitVec(params.n, int(v)) for v in sample_many(params, count, rng)]

@@ -76,6 +76,8 @@ class MeasurementMultiset:
     def to_csv(self, path: str | Path, header: Mapping[str, str] | None = None) -> None:
         """Write `outcome,count` rows, outcome as an MSB-first bitstring,
         after one `# key=value` comment line per header entry."""
+        if not self.counts:  # n is written only through the rows
+            raise EmptyMultisetError("cannot write an empty multiset: its CSV would have no rows")
         lines = []
         for key, value in (header or {}).items():
             line = f"# {key}={value}"

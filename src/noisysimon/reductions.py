@@ -209,17 +209,12 @@ def lsn_projection_counts(
     return _projection_counts(parity(y & params.s.value), y, params, k, params.s)
 
 
-def _lpn_counts(a: np.ndarray, b: np.ndarray, params: LsnParams, k: int):
-    return _projection_counts(parity(a & params.s.value) ^ b, a, params, k, None)
-
-
 def lpn_projection_counts(
-    samples: Sequence[LpnSample], params: LsnParams, k: int
+    a: np.ndarray, b: np.ndarray, params: LsnParams, k: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Bucket parity samples by (label error, k-bit projection of a)."""
-    a = np.fromiter((x.a.value for x in samples), np.int64, len(samples))
-    b = np.fromiter((x.b for x in samples), np.int64, len(samples))
-    return _lpn_counts(a, b, params, k)
+    a = np.asarray(a, dtype=np.int64)
+    return _projection_counts(parity(a & params.s.value) ^ b, a, params, k, None)
 
 
 def chi_square_check(
@@ -244,7 +239,7 @@ def chi_square_check(
             f"tau={params.tau}: it needs at least {need}"
         )
     a, b = lsn_samples_to_lpn(sample_many(params, samples, rng), z, rng)
-    _, p_parity = chi_square_gof(*_lpn_counts(a, b, params, k))
+    _, p_parity = chi_square_gof(*lpn_projection_counts(a, b, params, k))
     a = rng.integers(0, 1 << n, size=samples)
     b = parity(a & params.s.value).astype(np.int64) ^ (rng.random(samples) < params.tau)
     _, p_subspace = chi_square_gof(*lsn_projection_counts(a ^ (b * z.value), params, k))

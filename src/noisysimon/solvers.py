@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gf2 import BitVec, _echelon, nullspace_ints, parity
+from .gf2 import BitVec, DimensionError, _echelon, nullspace_ints, parity
 from .multiset import MeasurementMultiset
 from .reductions import LpnSample, SolveFailure
 from .simon import SimonFunction
@@ -36,8 +35,7 @@ class QueryLedger:
 
 @dataclass(frozen=True)
 class SamplePool:
-    """Samples in F_2^n, held as packed ints; their `BitVec` form `samples`
-    is built only when asked for."""
+    """Samples in F_2^n, held as packed ints."""
 
     n: int
     values: Tuple[int, ...]
@@ -55,7 +53,10 @@ class SamplePool:
         vectors = tuple(vectors)
         if not vectors:
             raise ValueError("empty pool")
-        return cls(vectors[0].n, tuple(v.value for v in vectors))
+        n = vectors[0].n
+        if any(v.n != n for v in vectors):
+            raise DimensionError(f"pool vectors differ in length from n={n}")
+        return cls(n, tuple(v.value for v in vectors))
 
     @classmethod
     def from_multiset(cls, m: MeasurementMultiset) -> "SamplePool":
@@ -63,10 +64,6 @@ class SamplePool:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    @cached_property
-    def samples(self) -> Tuple[BitVec, ...]:
-        return tuple(BitVec(self.n, v) for v in self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +140,7 @@ def _draw_distinct(rng: np.random.Generator, pool_size: int, k: int) -> List[int
 
 def pooled_lsn(
     f: SimonFunction,
-    pool: SamplePool | Sequence[BitVec],
+    pool: SamplePool,
     rng: np.random.Generator,
     max_loops: int = 1_000_000,
 ) -> Tuple[BitVec, CostReport]:
@@ -153,7 +150,7 @@ def pooled_lsn(
 
     n-1 rows have rank n-1 exactly when their nullspace is one-dimensional,
     so one elimination serves as both the rank test and the solve."""
-    vals = pool.values if isinstance(pool, SamplePool) else [v.value for v in pool]
+    vals = pool.values
     n = f.n
     if len(vals) < n - 1:
         raise ValueError(f"pool of {len(vals)} cannot contain {n - 1} independent samples")
@@ -225,6 +222,8 @@ def majority_verifier(
 ) -> Callable[[BitVec], bool]:
     """Accept a candidate whose held-out mismatch rate is closer to tau than
     to one half."""
+    if not heldout:
+        raise ValueError("empty held-out set: no candidate could be verified")
     a_vals = np.array([smp.a.value for smp in heldout], dtype=np.int64)
     b_vals = np.array([smp.b for smp in heldout], dtype=np.int64)
     threshold = (tau + 0.5) / 2.0

@@ -162,7 +162,7 @@ def _label_key(label) -> Tuple[str, int, str]:
     text = str(label)
     head, tail = text[:1], text[1:]
     if tail.isdecimal():  # isdigit() also takes digits int() rejects, like "²"
-        return (head, int(tail), "")
+        return (head, int(tail), text)  # the text tells "x1" from "x01"
     return (head, -1, text)
 
 

@@ -96,9 +96,13 @@ def _solver_pool(n):
     return rng, f, [BitVec(n, int(v)) for v in ys]
 
 
-def pooled_lsn_digest(n, as_sample_pool):
+def pooled_lsn_digest(n, from_vectors):
+    """The pool is built from the `BitVec`s, or from a plain list of their ints."""
     rng, f, vectors = _solver_pool(n)
-    pool = SamplePool.from_vectors(vectors) if as_sample_pool else vectors
+    if from_vectors:
+        pool = SamplePool.from_vectors(vectors)
+    else:
+        pool = SamplePool.from_ints(n, [v.value for v in vectors])
     return _solver_digest([pooled_lsn(f, pool, rng) for _ in range(SOLVER_CALLS)], rng)
 
 
@@ -208,10 +212,10 @@ def test_classical_period_golden(n):
     assert classical_period_digest(n) == GOLDEN_CLASSICAL_PERIOD[n]
 
 
-@pytest.mark.parametrize("as_sample_pool", [True, False], ids=["SamplePool", "list"])
+@pytest.mark.parametrize("from_vectors", [True, False], ids=["SamplePool", "list"])
 @pytest.mark.parametrize("n", range(2, 8))
-def test_pooled_lsn_golden(n, as_sample_pool):
-    assert pooled_lsn_digest(n, as_sample_pool) == GOLDEN_POOLED_LSN[n]
+def test_pooled_lsn_golden(n, from_vectors):
+    assert pooled_lsn_digest(n, from_vectors) == GOLDEN_POOLED_LSN[n]
 
 
 @pytest.mark.parametrize("n", range(2, 8))

@@ -93,8 +93,7 @@ def test_chi_square_both_directions_at_n16():
 
     ys = sample_many(params, 100_000, rng)
     b = rng.integers(0, 2, size=ys.size)
-    samples = [LpnSample(BitVec(n, int(av)), int(bv)) for av, bv in zip(ys ^ (b * z.value), b)]
-    cells, probs = lpn_projection_counts(samples, params, k=8)
+    cells, probs = lpn_projection_counts(ys ^ (b * z.value), b, params, k=8)
     _, p1 = chi_square_gof(cells, probs)
     assert p1 > 0.01
 
@@ -151,9 +150,9 @@ def test_projection_counts_match_per_sample_loop(n):
     cells, probs = lsn_projection_counts(ys, params, k)
     assert np.array_equal(cells, reference_lsn_projection_counts(ys, params, k))
     assert cells.dtype == np.int64 and probs.sum() == pytest.approx(1.0)
-    samples = [LpnSample(BitVec(n, int(a)), int(b))
-               for a, b in zip(rng.integers(0, 1 << n, size=3000), rng.integers(0, 2, size=3000))]
-    cells, _ = lpn_projection_counts(samples, params, k)
+    a, b = rng.integers(0, 1 << n, size=3000), rng.integers(0, 2, size=3000)
+    samples = [LpnSample(BitVec(n, int(av)), int(bv)) for av, bv in zip(a, b)]
+    cells, _ = lpn_projection_counts(a, b, params, k)
     assert np.array_equal(cells, reference_lpn_projection_counts(samples, params, k))
 
 

@@ -40,6 +40,8 @@ def test_multiset_csv_single_outcome_and_header_with_line_break(tmp_path):
     for header in ({"note": "two\nlines"}, {"a\rb": 1}, {"v": "x\x0by"}):
         with pytest.raises(ValueError, match="line break"):
             m.to_csv(path, header=header)
+    with pytest.raises(ValueError, match="empty multiset"):  # its CSV would carry no n
+        MeasurementMultiset(3, {}).to_csv(path)
 
 
 label = st.one_of(st.text(max_size=6), st.integers(-5, 40))
@@ -61,10 +63,12 @@ def test_circuit_json_round_trip(tmp_path_factory, circuit, data):
 @given(st.dictionaries(st.text(max_size=6), st.integers(0, 100), max_size=16)
        .filter(lambda d: len(set(d.values())) == len(d)))
 @example({"x\u00b2": 0, "y1": 1})  # "\u00b2".isdigit(), but int() rejects it
+@example({"x01": 0, "x1": 1})  # one index, two labels: ordered by their text
 def test_configuration_json_round_trip(assign):
     config = Configuration.from_dict(assign)
     back = Configuration.from_json(config.to_json())
     assert back == config and back.as_dict() == assign
+    assert Configuration.from_dict(dict(reversed(assign.items()))) == config
 
 
 @st.composite

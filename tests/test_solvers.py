@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from noisysimon.gf2 import BitVec, orthogonal_basis
+from noisysimon.gf2 import BitVec, DimensionError, orthogonal_basis
 from noisysimon.lsn import LsnParams, sample_many
 from noisysimon.reductions import LpnSample, SolveFailure, lsn_sample_to_lpn
 from noisysimon.simon import SimonFunction
@@ -92,7 +92,7 @@ def test_loop_counts_nondecreasing_in_dimension():
 
 def test_pooled_lsn_perfect_basis_pool_one_loop():
     f = SimonFunction.default(4)
-    pool = SamplePool.from_vectors(orthogonal_basis(f.s).rows)
+    pool = SamplePool.from_ints(4, orthogonal_basis(f.s))
     s, cost = pooled_lsn(f, pool, np.random.default_rng(4))
     assert s == f.s and cost.loop_count == 1
 
@@ -170,6 +170,11 @@ def test_pooled_gauss_noiseless_one_loop_typical():
     assert min(loops) == 1
 
 
+def test_majority_verifier_rejects_empty_heldout_set():
+    with pytest.raises(ValueError, match="empty held-out"):
+        majority_verifier([], 0.1)
+
+
 def test_composed_transform_matches_pooled_lsn_cost_model():
     """Feeding parity samples through the reverse transform and solving with
     the pooled subspace solver reproduces that solver's loop model."""
@@ -219,7 +224,7 @@ def test_sample_pool_from_multiset():
     m = MeasurementMultiset.from_counts(3, {0b011: 2, 0b100: 1})
     pool = SamplePool.from_multiset(m)
     assert len(pool) == 3
-    assert sorted(v.value for v in pool.samples) == [0b011, 0b011, 0b100]
+    assert sorted(pool.values) == [0b011, 0b011, 0b100]
 
 
 def test_sample_pool_from_ints():
@@ -227,7 +232,9 @@ def test_sample_pool_from_ints():
     pool = SamplePool.from_ints(3, values)
     assert pool == SamplePool.from_vectors([BitVec(3, int(v)) for v in values])
     assert pool.values == (3, 0, 7, 3) and all(type(v) is int for v in pool.values)
-    assert pool.samples == tuple(BitVec(3, int(v)) for v in values) and len(pool) == 4
+    assert len(pool) == 4
     for bad in ([8], [-1], []):
         with pytest.raises(ValueError):
             SamplePool.from_ints(3, bad)
+    with pytest.raises(DimensionError):  # not an n=3 pool holding 31
+        SamplePool.from_vectors([BitVec(3, 1), BitVec(5, 31)])
