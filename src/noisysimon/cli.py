@@ -366,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=20260808)
     parser.add_argument("--out-dir", default="out")
     parser.add_argument("--workers", type=int, default=1,
-                        help="split each sampling RNG stream into this many sequential chunks "
-                        "seeded (seed, chunk); runs no parallel work, changes the samples")
+                        help="split each sampling RNG stream into this many chunks seeded (seed, "
+                        "chunk), which changes the samples, unlike the sampler's two-thread draws")
     parser.add_argument("--topology", default=None, help="topology JSON (default: bundled device)")
     parser.add_argument("--noise", default=None, help="noise JSON (default: bundled calibration)")
     sub = parser.add_subparsers(dest="command", required=True)

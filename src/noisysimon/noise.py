@@ -33,17 +33,20 @@ seed's outcomes do not depend on how the masks are accumulated.
 
 Each (shots, cols) field of uniforms, a fault source's or a single stream
 like the readout flips of one bit, is drawn in blocks of whole rows into one
-reused buffer of DRAW_BLOCK doubles (`_uniforms`), and a fault field keeps
-only its hits. Blocks of a row-major field are the same doubles in the same
-order, so the outcomes and the generator's final state are those of one
+reused buffer of DRAW_BLOCK doubles (`_split_field`), and a fault field
+keeps only its hits. Blocks of a row-major field are the same doubles in the
+same order, so the outcomes and the generator's final state are those of one
 (shots, cols) draw, while the transient memory is O(shots + DRAW_BLOCK)
-rather than O(shots x gates).
+rather than O(shots x gates). A field of SPLIT_FIELD doubles or more is
+drawn in two halves on two threads, the second from a generator advanced
+past the first: the same doubles, and the same final generator state.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import json
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Tuple
@@ -54,10 +57,10 @@ from .circuits import Circuit
 from .multiset import MeasurementMultiset
 from .statevector import frames_and_support
 
-PAULI_I, PAULI_X, PAULI_Y, PAULI_Z = 0, 1, 2, 3
-
-# Doubles per block of uniforms (512 KiB); see `_uniforms`.
+# Doubles per block of uniforms (512 KiB), and the fewest doubles of a field
+# drawn in two halves on two threads; see `_split_field`.
 DRAW_BLOCK = 1 << 16
+SPLIT_FIELD = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -128,30 +131,51 @@ def default_noise() -> NoiseParams:
     return NoiseParams.from_dict(json.loads(ref.read_text()))
 
 
-def _uniforms(rng: np.random.Generator, shots: int, cols: int, buf: np.ndarray):
-    """Yield (first shot, block) over the doubles of `rng.random((shots,
-    cols))`, the block flat and holding as many whole rows as fit in
-    DRAW_BLOCK doubles, at least one; `buf` holds max(DRAW_BLOCK, cols).
+def _split_field(rng: np.random.Generator, rows: int, cols: int, buf: np.ndarray, step) -> list:
+    """[step(start, u)] over the blocks of `rng.random((rows, cols))` in row
+    order, u flat and holding as many whole rows from row `start` as fit in
+    its buffer, at least one; `buf` holds max(DRAW_BLOCK, 2 * cols) doubles.
+    A large field's rows [mid, rows) are drawn on a helper thread into the
+    second half of `buf`, from a copy of `rng` advanced past rows [0, mid);
+    `rng` takes its end state, bar the `integers` half-word `advance` clears."""
+    def run(g, lo, hi, buf):
+        per = max(1, buf.size // cols)
+        return [step(start, g.random(out=buf[: min(per, hi - start) * cols]))
+                for start in range(lo, hi, per)]
 
-    A row-major field is the same sequence of doubles as its blocks of rows
-    drawn one after another, so the generator ends in the same state too.
-    """
-    rows = max(1, DRAW_BLOCK // cols)
-    for start in range(0, shots, rows):
-        u = buf[: min(rows, shots - start) * cols]
-        rng.random(out=u)
-        yield start, u
+    if rows * cols < SPLIT_FIELD:
+        return run(rng, 0, rows, buf)
+    mid, half, high, errors = rows // 2, buf.size // 2, [], []
+    state, twin = rng.bit_generator.state, type(rng.bit_generator)()
+    twin.state = state
+
+    def helper():
+        try:
+            high.extend(run(np.random.Generator(twin.advance(mid * cols)), mid, rows, buf[half:]))
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        low = run(rng, 0, mid, buf[:half])
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
+    rng.bit_generator.state = {**twin.state, "has_uint32": state["has_uint32"],
+                               "uinteger": state["uinteger"]}
+    return low + high
 
 
 def _hits(rng: np.random.Generator, shots: int, cols: int, p, buf: np.ndarray) -> np.ndarray:
     """Flat indices (shot * cols + col) of the uniforms below `p` (a scalar
-    or one rate per column) in the (shots, cols) field of `_uniforms`."""
+    or one rate per column) in the (shots, cols) field of `_split_field`."""
     if cols == 0:
         return np.zeros(0, dtype=np.intp)
-    return np.concatenate([
-        np.flatnonzero(u.reshape(-1, cols) < p) + start * cols
-        for start, u in _uniforms(rng, shots, cols, buf)
-    ])
+    return np.concatenate(_split_field(
+        rng, shots, cols, buf,
+        lambda start, u: np.flatnonzero(u.reshape(-1, cols) < p) + start * cols))
 
 
 def _sample_chunk(
@@ -169,7 +193,7 @@ def _sample_chunk(
 
     # Per-shot fault masks over the outcome bits (bit k is wire measured[k]).
     masks = np.zeros(shots, dtype=np.int64)
-    buf = np.empty(max(DRAW_BLOCK, len(gates), width))
+    buf = np.empty(max(DRAW_BLOCK, 2 * len(gates), 2 * width))
     if gates and (noise.eps1 > 0 or noise.eps2 > 0 or noise.crosstalk > 0):
         # table[g, w, p]: the outcome bits Pauli p on wire w right after gate
         # g flips (I none, X those of z[w], Y those of x[w] ^ z[w], Z x[w])
@@ -180,7 +204,7 @@ def _sample_chunk(
         if shot_idx.size:
             codes = rng.integers(0, 4, size=(shot_idx.size, 2))
             # qubits[0] is a CNOT's control; for a one-qubit gate it is the
-            # target again, and the second Pauli is set to PAULI_I
+            # target again, and the second Pauli is set to I (code 0)
             target, control, arity = np.array([(g.target, g.qubits[0], g.arity) for g in gates]).T
             codes[:, 1] *= arity[gate_idx] == 2
             m = table[gate_idx, target[gate_idx], codes[:, 0]]
@@ -201,17 +225,21 @@ def _sample_chunk(
     # The noiseless outcomes are XORed into the masks in place, block by
     # block. u * K is exact (K is a power of two), so the index is floor(u * K).
     outcomes = masks
-    for start, u in _uniforms(rng, shots, 1, buf):
+
+    def add_noiseless(start, u):
         u *= support.size
         outcomes[start : start + u.size] ^= support[u.astype(np.intp)]
+    _split_field(rng, shots, 1, buf, add_noiseless)
 
     # Asymmetric readout flips, one stream per outcome bit, drawn whatever the
     # rates so that the stream layout does not depend on them.
     for k, q in enumerate(measured):
         flip_prob = np.array(noise.readout_for(circuit.label_of(q)))  # (p01, p10)
-        for start, u in _uniforms(rng, shots, 1, buf):
+
+        def flip(start, u):
             block = outcomes[start : start + u.size]
             block[u < flip_prob[(block >> k) & 1]] ^= 1 << k
+        _split_field(rng, shots, 1, buf, flip)
     return outcomes
 
 

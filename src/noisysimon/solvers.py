@@ -152,6 +152,8 @@ def pooled_lsn(
     so one elimination serves as both the rank test and the solve."""
     vals = pool.values
     n = f.n
+    if pool.n != n:
+        raise DimensionError(f"pool of n={pool.n} for a function of n={n}")
     if len(vals) < n - 1:
         raise ValueError(f"pool of {len(vals)} cannot contain {n - 1} independent samples")
     loops = 0

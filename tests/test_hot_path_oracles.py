@@ -3,7 +3,8 @@
 `reference_sample_chunk` is the sampler as a loop over single fault events,
 with the fault masks propagated as Python ints; the library's table-driven
 sampler must return the same outcomes and leave its generator in the same
-state, also with its draw block shrunk below a row. `reference_embeddings`
+state, also with its draw block shrunk below a row and with every field
+drawn in two halves on two threads. `reference_embeddings`
 is the placement search without look-ahead; the library's search must emit
 the same embeddings in the same order, and
 networkx's VF2 matcher must count as many.
@@ -33,7 +34,7 @@ import itertools
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
@@ -51,7 +52,7 @@ from noisysimon.circuits import (
     build_simon_circuit,
 )
 from noisysimon.gf2 import BitVec, _echelon, nullspace_ints
-from noisysimon.noise import NoiseParams, _sample_chunk
+from noisysimon.noise import NoiseParams, _sample_chunk, _split_field
 from noisysimon.simon import SimonFunction
 from noisysimon.smoothing import permutation_configurations
 from noisysimon.solvers import CostReport, QueryLedger, _solve_full_rank, classical_period
@@ -176,15 +177,25 @@ noise_params = st.builds(
 )
 
 
+def sample_both(circuit, noise, shots, seed, **patches):
+    """(fast, slow) sampler outcomes and generator states at one seed; the
+    fast sampler runs with the noise module's constants in `patches`."""
+    fast_rng = np.random.default_rng(seed)
+    slow_rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in patches.items():
+            mp.setattr(noise_module, name, value)
+        fast = _sample_chunk(circuit, noise, shots, fast_rng, *frames_and_support(circuit))
+    slow = reference_sample_chunk(circuit, noise, shots, slow_rng)
+    return (fast, fast_rng.bit_generator.state), (slow, slow_rng.bit_generator.state)
+
+
 @settings(max_examples=300, deadline=None)
 @given(circuits(), noise_params, st.integers(1, 300), st.integers(0, 2**32 - 1))
 def test_sampler_matches_per_event_reference(circuit, noise, shots, seed):
-    fast_rng = np.random.default_rng(seed)
-    slow_rng = np.random.default_rng(seed)
-    fast = _sample_chunk(circuit, noise, shots, fast_rng, *frames_and_support(circuit))
-    slow = reference_sample_chunk(circuit, noise, shots, slow_rng)
+    (fast, fast_state), (slow, slow_state) = sample_both(circuit, noise, shots, seed)
     assert fast.dtype == slow.dtype and np.array_equal(fast, slow)
-    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+    assert fast_state == slow_state
 
 
 @settings(max_examples=300, deadline=None)
@@ -198,14 +209,85 @@ def test_sampler_matches_per_event_reference(circuit, noise, shots, seed):
 def test_sampler_matches_reference_across_draw_blocks(circuit, noise, shots, seed, block):
     """Blocks of uniforms smaller than a row, and ones that do not divide
     the shots, draw the same stream as one (shots, cols) field."""
+    (fast, fast_state), (slow, slow_state) = sample_both(
+        circuit, noise, shots, seed, DRAW_BLOCK=block)
+    assert fast.dtype == slow.dtype and np.array_equal(fast, slow)
+    assert fast_state == slow_state
+
+
+# a width-2 CNOT leaves its crosstalk field with no columns
+@example(Circuit(2, (Gate(H, 0), Gate(CNOT, 1, control=0)), (0, 1)),
+         NoiseParams(eps1=1.0, eps2=1.0, crosstalk=1.0, default_p01=1.0), 5, 0, 1, 1)
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(circuits(max_width=2), circuits()),
+    noise_params,
+    st.integers(1, 300),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 400),
+    st.integers(1, 100),
+)
+def test_sampler_matches_reference_across_split_fields(circuit, noise, shots, seed, split, block):
+    """Fields split into two halves drawn on two threads, down to one row
+    per half and with odd row counts, draw the same stream as one field."""
+    (fast, fast_state), (slow, slow_state) = sample_both(
+        circuit, noise, shots, seed, SPLIT_FIELD=split, DRAW_BLOCK=block)
+    assert fast.dtype == slow.dtype and np.array_equal(fast, slow)
+    assert fast_state == slow_state
+
+
+def test_split_field_starts_after_pending_half_word(compiled, noise, monkeypatch):
+    """An odd number of crosstalk codes leaves half of a 64-bit draw pending
+    for the next `integers` call; a split field keeps it pending."""
+    pending = []
+    split = noise_module._split_field
+
+    def recording(rng, *args):
+        pending.append(rng.bit_generator.state["has_uint32"])
+        return split(rng, *args)
+
+    monkeypatch.setattr(noise_module, "_split_field", recording)
+    (fast, fast_state), (slow, slow_state) = sample_both(
+        compiled[4][3], noise, 301, 3, SPLIT_FIELD=1)
+    assert 1 in pending
+    assert np.array_equal(fast, slow) and fast_state == slow_state
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 9), st.integers(1, 400), st.integers(1, 50),
+       st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_split_field_draws_one_field(rows, cols, split, block, codes, seed):
+    """The blocks are the doubles of one (rows, cols) draw in row order, and
+    the generator ends in that draw's state, its pending half-word included."""
     fast_rng = np.random.default_rng(seed)
     slow_rng = np.random.default_rng(seed)
+    fast_rng.integers(0, 4, size=codes)
+    slow_rng.integers(0, 4, size=codes)
+    buf = np.empty(max(block, 2 * cols))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(noise_module, "DRAW_BLOCK", block)
-        fast = _sample_chunk(circuit, noise, shots, fast_rng, *frames_and_support(circuit))
-    slow = reference_sample_chunk(circuit, noise, shots, slow_rng)
-    assert fast.dtype == slow.dtype and np.array_equal(fast, slow)
+        mp.setattr(noise_module, "SPLIT_FIELD", split)
+        blocks = _split_field(fast_rng, rows, cols, buf, lambda start, u: (start, u.copy()))
+    starts = [start for start, _ in blocks]
+    assert starts == sorted(starts) and starts[0] == 0
+    want = slow_rng.random((rows, cols)).ravel()
+    assert np.array_equal(np.concatenate([u for _, u in blocks]), want)
     assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+    assert np.array_equal(fast_rng.integers(0, 4, size=5), slow_rng.integers(0, 4, size=5))
+
+
+def test_sampler_split_at_real_threshold_matches_unsplit(compiled, noise):
+    """One n=7 call of 2^18 shots, whose fields are split at SPLIT_FIELD,
+    gives the outcomes and end state of the same call with no field split."""
+    _, _, _, circ = compiled[7]
+    runs = []
+    for split in (noise_module.SPLIT_FIELD, math.inf):
+        rng = np.random.default_rng(20260808)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(noise_module, "SPLIT_FIELD", split)
+            out = _sample_chunk(circ, noise, 1 << 18, rng, *frames_and_support(circ))
+        runs.append((out, rng.bit_generator.state))
+    (split_out, split_state), (whole_out, whole_state) = runs
+    assert np.array_equal(split_out, whole_out) and split_state == whole_state
 
 
 # ---------------------------------------------------------------------------

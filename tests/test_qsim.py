@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -191,6 +192,45 @@ def test_sampler_memory_does_not_grow_with_shots_times_gates(compiled, noise):
     finally:
         tracemalloc.stop()
     assert peak <= 20 * 2**20
+
+
+def test_large_fields_split_and_small_calls_stay_on_one_thread(compiled, noise, monkeypatch):
+    """An n=7 call of 2^18 shots draws its fields on helper threads; an
+    8,192-shot call (smooth-table's size; its largest field holds 8,192 x 18
+    doubles) starts none."""
+    started = []
+
+    class Counting(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counting)
+    _, _, _, circ = compiled[7]
+    sample_noisy(circ, noise, 8192, seed=1)
+    assert started == []
+    sample_noisy(circ, noise, 1 << 18, seed=1)
+    assert started
+
+
+def test_split_field_joins_its_helper_and_reraises(monkeypatch):
+    monkeypatch.setattr(noise_module, "SPLIT_FIELD", 1)
+    rng = np.random.default_rng(0)
+    buf = np.empty(6)  # one row of 3 per block in each half
+    before = threading.active_count()
+    assert len(noise_module._split_field(rng, 9, 3, buf, lambda start, u: start)) == 9
+    assert threading.active_count() == before
+
+    def fail_from(row):
+        def step(start, u):
+            if start >= row:
+                raise RuntimeError(f"row {start}")
+        return step
+
+    for row in (4, 0):  # the helper's half (rows 4..8) fails, then both halves
+        with pytest.raises(RuntimeError, match="row"):
+            noise_module._split_field(rng, 9, 3, buf, fail_from(row))
+        assert threading.active_count() == before
 
 
 def test_readout_bias_lowers_mean_weight(compiled):

@@ -120,6 +120,15 @@ def test_pooled_lsn_failure_signal_on_hopeless_pool():
         pooled_lsn(f, SamplePool.from_vectors([BitVec(4, 1)]), np.random.default_rng(6))
 
 
+def test_pooled_lsn_rejects_pool_of_other_dimension():
+    pool = SamplePool.from_ints(3, range(8))
+    rng = np.random.default_rng(8)
+    state = rng.bit_generator.state
+    with pytest.raises(DimensionError, match="n=3 .* n=5"):
+        pooled_lsn(SimonFunction.default(5), pool, rng)
+    assert rng.bit_generator.state == state  # raised before any draw
+
+
 def test_pooled_lsn_mean_loops_match_closed_form():
     rng = np.random.default_rng(7)
     for n, tau in ((4, 0.1), (6, 0.12), (7, 0.12398)):
