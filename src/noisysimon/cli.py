@@ -23,7 +23,7 @@ from . import __version__
 from .circuits import build_simon_circuit
 from .gf2 import BitVec
 from .lsn import LsnParams, estimate_tau, model_distribution, sample_many
-from .multiset import MeasurementMultiset, merge_all
+from .multiset import MeasurementMultiset, merge_all, write_table
 from .noise import NoiseParams, default_noise, sample_noisy
 from .reductions import (
     LpnSample,
@@ -88,11 +88,7 @@ def _header(args, extra: Optional[dict] = None) -> dict:
 
 
 def _write_csv(path: Path, header: dict, columns: List[str], rows: List[List]) -> None:
-    lines = [f"# {k}={v}" for k, v in header.items()]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    write_table(path, header, columns, rows)
     print(f"wrote {path}")
 
 
@@ -213,6 +209,8 @@ def cmd_smooth(args) -> int:
     f = SimonFunction.default(args.n)
     params = LsnParams(args.n, 0.1, f.s)
     techniques = list(TECHNIQUES) if args.technique == "all" else [args.technique]
+    if args.configs < 1 and any(t.startswith("permutation") for t in techniques):
+        raise ValueError("--configs must be >= 1 for the permutation techniques")
     cfg, _ = search_min_configuration(f, graph)
     smoothed = _smoothed(args, graph, noise, cfg)
     rows = []
@@ -285,21 +283,10 @@ def cmd_reduction_check(args) -> int:
     s = BitVec(args.n, 0b11) if args.n >= 2 else BitVec(1, 1)
     params = LsnParams(args.n, args.tau, s)
     if args.n <= 4:
-        worst_fwd = 0.0
-        worst_bwd = 0.0
-        target = lpn_model_distribution(params)
-        back = model_distribution(params)
-        for zv in range(1 << args.n):
-            z = BitVec(args.n, zv)
-            if z.inner(s) != 1:
-                continue
-            got = transformed_lpn_distribution(params, z)
-            keys = set(got) | set(target)
-            worst_fwd = max(
-                worst_fwd, max(abs(got.get(k, 0.0) - target.get(k, 0.0)) for k in keys)
-            )
-            got2 = transformed_lsn_distribution(params, z)
-            worst_bwd = max(worst_bwd, float(np.max(np.abs(got2 - back))))
+        zs = [z for z in (BitVec(args.n, zv) for zv in range(1 << args.n)) if z.inner(s) == 1]
+        target, back = lpn_model_distribution(params), model_distribution(params)
+        worst_fwd = max(np.max(np.abs(transformed_lpn_distribution(params, z) - target)) for z in zs)
+        worst_bwd = max(np.max(np.abs(transformed_lsn_distribution(params, z) - back)) for z in zs)
         rows.append(["to-parity", "exact", f"{worst_fwd:.3e}", "1e-12", "PASS" if worst_fwd < 1e-12 else "FAIL"])
         rows.append(["to-subspace", "exact", f"{worst_bwd:.3e}", "1e-12", "PASS" if worst_bwd < 1e-12 else "FAIL"])
     else:
@@ -332,13 +319,16 @@ def cmd_solve(args) -> int:
         pool = SamplePool.from_ints(n, sample_many(pool_params, args.pool_size, rng))
         s, cost = pooled_lsn(f, pool, rng)
     elif args.algorithm == "pooled-gauss":
+        held_out = max(128, 4 * n)
+        if args.pool_size < held_out + n:
+            raise ValueError(f"--pool-size must be >= {held_out + n} for pooled-gauss at n={n}")
         ys = sample_many(LsnParams(n, tau, f.s), args.pool_size, rng)
         zv = 0
         while BitVec(n, zv).inner(f.s) != 1:
             zv = int(rng.integers(0, 1 << n))
         a, b = lsn_samples_to_lpn(ys, BitVec(n, zv), rng)
         samples = [LpnSample(BitVec(n, av), bv) for av, bv in zip(a.tolist(), b.tolist())]
-        held = samples[: max(128, 4 * n)]
+        held = samples[:held_out]
         body = samples[len(held):]
         s, cost = pooled_gauss_lpn(body, majority_verifier(held, tau), rng)
     else:

@@ -1,10 +1,10 @@
-"""Counted multisets of measurement outcomes and their CSV form."""
+"""Counted multisets of measurement outcomes, and the package's CSV table format."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -13,6 +13,45 @@ from .gf2 import BitVec
 
 class EmptyMultisetError(ValueError):
     """Operation needs at least one counted outcome."""
+
+
+def write_table(path: str | Path, header: Mapping[str, object], columns: Sequence[str],
+                rows: Iterable[Sequence[object]]) -> None:
+    """Write one `# key=value` line per header entry, the column line, then
+    one line of comma-separated fields per row. A field with a comma, or a
+    line with a line break, raises ValueError before anything is written."""
+    lines = [f"# {key}={value}" for key, value in header.items()]
+    for row in (columns, *rows):
+        fields = [str(v) for v in row]
+        if any("," in f for f in fields):
+            raise ValueError(f"a field of the row {fields!r} holds a comma")
+        lines.append(",".join(fields))
+    for line in lines:
+        if line.splitlines() != [line]:
+            raise ValueError(f"the line {line!r} has a line break")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_table(path: str | Path, columns: Sequence[str]) -> Tuple[Optional[int], List[list]]:
+    """The bitstring length (None without rows) and the rows of a
+    `write_table` file with the column line `columns` and MSB-first
+    bitstrings of one length in its first column, read as ints."""
+    lines = [t for t in map(str.strip, Path(path).read_text().splitlines()) if t and t[0] != "#"]
+    if lines and lines[0] != ",".join(columns):
+        raise ValueError(f"{path} has the column line {lines[0]!r}, not {','.join(columns)!r}")
+    n, rows = None, []
+    for line in lines[1:]:
+        row = line.split(",")
+        if len(row) != len(columns):
+            raise ValueError(f"row {line!r} of {path} has {len(row)} fields, not {len(columns)}")
+        if row[0].strip("01"):
+            raise ValueError(f"{row[0]!r} in {path} is not a bitstring")
+        n = len(row[0]) if n is None else n
+        if len(row[0]) != n:
+            raise ValueError(f"inconsistent sample length in {path}: {row[0]!r} after {n} bits")
+        row[0] = int(row[0] or "0", 2)
+        rows.append(row)
+    return n, rows
 
 
 @dataclass(frozen=True)
@@ -73,38 +112,21 @@ class MeasurementMultiset:
         reps = np.array([self.counts[int(k)] for k in keys], dtype=np.int64)
         return np.repeat(keys, reps)
 
-    def to_csv(self, path: str | Path, header: Mapping[str, str] | None = None) -> None:
-        """Write `outcome,count` rows, outcome as an MSB-first bitstring,
-        after one `# key=value` comment line per header entry."""
+    def to_csv(self, path: str | Path, header: Mapping[str, object] | None = None) -> None:
+        """Write the table of `outcome,count` rows, outcome as an MSB-first bitstring."""
         if not self.counts:  # n is written only through the rows
             raise EmptyMultisetError("cannot write an empty multiset: its CSV would have no rows")
-        lines = []
-        for key, value in (header or {}).items():
-            line = f"# {key}={value}"
-            if line.splitlines() != [line]:
-                raise ValueError(f"header entry {key!r} has a line break")
-            lines.append(line)
-        lines.append("outcome,count")
-        for o in sorted(self.counts):
-            lines.append(f"{format(o, f'0{self.n}b')},{self.counts[o]}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_table(path, header or {}, ("outcome", "count"),
+                    ((format(o, f"0{self.n}b"), c) for o, c in sorted(self.counts.items())))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "MeasurementMultiset":
-        counts: Dict[int, int] = {}
-        n = None
-        for line in Path(path).read_text().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#") or line == "outcome,count":
-                continue
-            bits, c = line.split(",")
-            if n is None:
-                n = len(bits)
-            elif len(bits) != n:
-                raise ValueError(f"inconsistent outcome length in {path}")
-            counts[int(bits, 2)] = counts.get(int(bits, 2), 0) + int(c)
+        n, rows = read_table(path, ("outcome", "count"))
         if n is None:
             raise EmptyMultisetError(f"no outcomes in {path}")
+        counts: Dict[int, int] = {}
+        for o, c in rows:
+            counts[o] = counts.get(o, 0) + int(c)
         return cls(n, counts)
 
 

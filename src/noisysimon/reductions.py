@@ -11,12 +11,13 @@ factor two in success probability per attempt and simply retry with fresh z.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .gf2 import BitVec, DimensionError, parity, rank_ints
 from .lsn import LsnParams, model_distribution, sample_many
+from .multiset import read_table, write_table
 from .stats import chi_square_gof
 
 
@@ -30,28 +31,18 @@ class LpnSample(NamedTuple):
 
 
 def lpn_samples_to_csv(samples: Sequence[LpnSample], path) -> None:
-    """Write `a,b` rows, a as an MSB-first bitstring."""
-    from pathlib import Path
-
-    lines = ["a,b"] + [f"{a},{b}" for a, b in samples]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write the table of `a,b` rows, a as an MSB-first bitstring."""
+    write_table(path, {}, ("a", "b"), samples)
 
 
 def lpn_samples_from_csv(path) -> List[LpnSample]:
     """The `a,b` rows of `path`; every a has the same length and b is 0 or 1."""
-    from pathlib import Path
-
+    n, rows = read_table(path, ("a", "b"))
     out = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or line == "a,b":
-            continue
-        a, b = line.split(",")
+    for a, b in rows:
         if b not in ("0", "1"):
             raise ValueError(f"label {b!r} is not 0 or 1 in {path}")
-        if out and len(a) != out[0].a.n:
-            raise ValueError(f"inconsistent sample length in {path}")
-        out.append(LpnSample(BitVec.from_string(a), int(b)))
+        out.append(LpnSample(BitVec(n, a), int(b)))
     return out
 
 
@@ -84,37 +75,28 @@ def lpn_sample_to_lsn(sample: LpnSample, z: BitVec) -> BitVec:
 
 
 # ---------------------------------------------------------------------------
-# Exact transformed distributions (enumeration; used by tests and the checker)
+# Exact distributions (dense arrays; used by tests and the checker)
 
 
-def lpn_model_distribution(params: LsnParams) -> Dict[Tuple[int, int], float]:
-    """Exact oracle distribution over (a, b): uniform a, Bernoulli-tau label error."""
-    n, tau, s = params.n, params.tau, params.s.value
-    out = {}
-    for a in range(1 << n):
-        pa = (a & s).bit_count() & 1
-        out[(a, pa)] = (1.0 - tau) / (1 << n)
-        out[(a, pa ^ 1)] = tau / (1 << n)
-    return out
+def lpn_model_distribution(params: LsnParams) -> np.ndarray:
+    """Exact oracle distribution over (a, b), indexed a | b << n: uniform a,
+    Bernoulli-tau label error."""
+    label = parity(np.arange(1 << params.n) & params.s.value)
+    p = np.array([1.0 - params.tau, params.tau]) / (1 << params.n)  # label right, label wrong
+    return np.concatenate([p[label], p[label ^ 1]])
 
 
-def transformed_lpn_distribution(params: LsnParams, z: BitVec) -> Dict[Tuple[int, int], float]:
-    """Distribution of (y + b z, b) when y follows the two-level model."""
-    model = model_distribution(params)
-    out: Dict[Tuple[int, int], float] = {}
-    for y in range(1 << params.n):
-        for b in (0, 1):
-            a = y ^ z.value if b else y
-            out[(a, b)] = out.get((a, b), 0.0) + model[y] * 0.5
-    return out
+def transformed_lpn_distribution(params: LsnParams, z: BitVec) -> np.ndarray:
+    """Distribution of (y + b z, b), indexed a | b << n, when y follows the
+    two-level model."""
+    half = model_distribution(params) * 0.5
+    return np.concatenate([half, half[np.arange(1 << params.n) ^ z.value]])
 
 
 def transformed_lsn_distribution(params: LsnParams, z: BitVec) -> np.ndarray:
     """Distribution of a + b z when (a, b) comes from the parity oracle."""
-    out = np.zeros(1 << params.n)
-    for (a, b), p in lpn_model_distribution(params).items():
-        out[a ^ z.value if b else a] += p
-    return out
+    b0, b1 = lpn_model_distribution(params).reshape(2, -1)
+    return b0 + b1[np.arange(b1.size) ^ z.value]
 
 
 # ---------------------------------------------------------------------------

@@ -273,8 +273,9 @@ def _cancel_adjacent(gates: List[Gate]) -> List[Gate]:
 
     Each round cancels gate i with the first later gate not yet removed in
     the round that touches any of its wires, if the two are equal. That gate
-    is found through per-wire next-gate pointers, skipping removed gates, so
-    a round is one pass over the list.
+    is the nearest of gate i's per-wire next gates, so a round is one pass
+    over the list: a gate removed earlier in the round is the partner of an
+    earlier gate, and gate i would sit between the two on a wire they share.
     """
     changed = True
     while changed:
@@ -291,12 +292,7 @@ def _cancel_adjacent(gates: List[Gate]) -> List[Gate]:
         for i, g in enumerate(gates):
             if removed[i] or g.kind == X:
                 continue
-            j = end
-            for q in qubits[i]:
-                k = after[i, q]
-                while k < j and removed[k]:
-                    k = after[k, q]
-                j = min(j, k)
+            j = min(after[i, q] for q in qubits[i])
             if j < end and gates[j] == g:
                 removed[i] = removed[j] = True
                 changed = True
@@ -507,13 +503,8 @@ def _search(
     all_labels = simon_wire_labels(f.n)
 
     configs: List[Configuration] = []
-    seen = set()
     for emb in _embeddings(nodes, edges, graph):
-        cfg = _fill_free_vertices(emb, all_labels, graph)
-        if cfg.items in seen:
-            continue
-        seen.add(cfg.items)
-        configs.append(cfg)
+        configs.append(_fill_free_vertices(emb, all_labels, graph))
         if limit is not None and len(configs) >= limit:
             break
 

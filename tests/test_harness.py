@@ -10,8 +10,11 @@ import pytest
 
 import noisysimon
 from noisysimon import cli, smoothing, transpile
+from noisysimon.circuits import build_simon_circuit
 from noisysimon.cli import TECHNIQUES, main
 from noisysimon.multiset import MeasurementMultiset
+from noisysimon.simon import SimonFunction
+from noisysimon.statevector import circuits_equivalent
 
 
 def read_rows(path):
@@ -51,6 +54,17 @@ def test_measure_deterministic(tmp_path):
     assert (a / "measure_n3.csv").read_bytes() == (b / "measure_n3.csv").read_bytes()
     m = MeasurementMultiset.from_csv(a / "measure_n3.csv")
     assert m.total == 1024
+
+
+def test_measure_naive_configuration_routes_through_swap_chains(tmp_path):
+    assert main(["--out-dir", str(tmp_path), "measure", "--n", "3", "--config", "naive",
+                 "--shots", "1000"]) == 0
+    assert MeasurementMultiset.from_csv(tmp_path / "measure_n3.csv").total == 1000
+    f, graph = SimonFunction.default(3), transpile.melbourne_topology()
+    naive = transpile.compile_simon_circuit(f, graph, transpile.Configuration.naive(3))
+    assert transpile.circuit_norm(naive).value == 303
+    assert transpile.search_min_configuration(f, graph)[1].value == 33
+    assert circuits_equivalent(build_simon_circuit(f), naive, 1e-9)
 
 
 def test_noiseless_measure_has_near_zero_divergence(tmp_path):
@@ -229,6 +243,12 @@ def test_bad_input_gives_one_line_error(tmp_path, capsys):
     star.write_text(json.dumps({"vertices": 15, "edges": [[0, i] for i in range(1, 15)]}))
     no_edges = tmp_path / "no_edges.json"
     no_edges.write_text("{}")
+    self_loop = tmp_path / "self_loop.json"
+    self_loop.write_text(json.dumps({"vertices": 4, "edges": [[0, 1], [2, 2]]}))
+    outside = tmp_path / "outside.json"
+    outside.write_text(json.dumps({"vertices": 4, "edges": [[0, 1], [0, 5]]}))
+    multiset = tmp_path / "m.csv"
+    MeasurementMultiset(3, {o: 90 if o in (0, 3, 4, 7) else 10 for o in range(8)}).to_csv(multiset)
     cases = [
         (["--topology", str(star), "transpile-report", "--n-min", "3", "--n-max", "3"],
          "no swap-free placement"),
@@ -241,12 +261,25 @@ def test_bad_input_gives_one_line_error(tmp_path, capsys):
         (["crossover", "--trials", "0"], "--trials must be >= 1"),
         (["reduction-check", "--n", "6", "--samples", "5"], "it needs at least 1600"),
         (["reduction-check", "--n", "6", "--samples", "0"], "it needs at least 1600"),
+        (["--topology", str(self_loop), "measure", "--n", "2"], "self-loop at vertex 2"),
+        (["--topology", str(outside), "measure", "--n", "2"], "edge (0,5) outside vertex range"),
+        (["smooth", "--n", "3", "--technique", "permutation", "--configs", "0"],
+         "--configs must be >= 1"),
+        (["smooth", "--n", "3", "--technique", "permutation/double-flip", "--configs", "0"],
+         "--configs must be >= 1"),
+        (["solve", "--algorithm", "pooled-gauss", "--n", "3", "--pool-size", "128"],
+         "--pool-size must be >= 131"),
+        (["stats", "--multiset", str(multiset), "--label", "a,b"], "holds a comma"),
+        (["stats", "--multiset", str(multiset), "--label", "a\nb"], "has a line break"),
     ]
     for argv, message in cases:
         assert main(["--out-dir", str(tmp_path)] + argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("noisysimon: error: ") and message in err
         assert err.count("\n") == 1
+    assert not (tmp_path / "stats.csv").exists()
+    assert main(["--out-dir", str(tmp_path), "smooth", "--n", "3", "--technique", "none",
+                 "--configs", "0"]) == 0
 
 
 def test_sparse_multiset_is_a_one_line_error(tmp_path, capsys):

@@ -32,6 +32,34 @@ def test_multiset_csv_round_trip(tmp_path_factory, m, header):
     assert MeasurementMultiset.from_csv(path) == m
 
 
+@pytest.mark.parametrize("read, columns", [
+    (MeasurementMultiset.from_csv, "outcome,count"),
+    (lpn_samples_from_csv, "a,b"),
+])
+@pytest.mark.parametrize("body, message", [
+    ("1_01,1", "'1_01' in .* is not a bitstring"),
+    ("+101,1", r"'\+101' in .* is not a bitstring"),
+    ("0101", "row '0101' of .* has 1 fields, not 2"),
+    ("0101,1,1", "has 3 fields, not 2"),
+    ("01,1", "inconsistent sample length in .*: '01' after 4 bits"),
+])
+def test_csv_readers_reject_malformed_rows(tmp_path, read, columns, body, message):
+    """Both tables share one reader: bitstrings of 0/1 only and of one
+    length, and as many fields per row as columns."""
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# seed=1\n{columns}\n0101,1\n{body}\n")
+    with pytest.raises(ValueError, match=message) as info:
+        read(path)
+    assert str(path) in str(info.value) and "\n" not in str(info.value)
+
+
+def test_csv_readers_check_the_column_line(tmp_path):
+    path = tmp_path / "samples.csv"
+    lpn_samples_to_csv([LpnSample(BitVec(3, 5), 1)], path)
+    with pytest.raises(ValueError, match="has the column line 'a,b', not 'outcome,count'"):
+        MeasurementMultiset.from_csv(path)
+
+
 def test_multiset_csv_single_outcome_and_header_with_line_break(tmp_path):
     path = tmp_path / "m.csv"
     for m in (MeasurementMultiset(1, {1: 1}), MeasurementMultiset(1, {0: 5})):

@@ -6,6 +6,7 @@ import pytest
 
 from noisysimon.circuits import CNOT, Circuit, Gate, H, build_simon_circuit
 from noisysimon.gf2 import BitVec
+from noisysimon.multiset import MeasurementMultiset
 from noisysimon.simon import SimonFunction
 from noisysimon.statevector import circuits_equivalent
 from noisysimon.transpile import (
@@ -234,6 +235,35 @@ def test_topology_json_round_trip(tmp_path, graph):
 def test_configuration_validation():
     with pytest.raises(ValueError):
         Configuration.from_dict({"x0": 1, "x1": 1})
+
+
+def _route_two_wires(labels, assign):
+    route(Circuit(2, (), (0, 1), labels), TopologyGraph.from_edges(3, [(0, 1), (1, 2)]),
+          Configuration.from_dict(assign))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Gate("y", 0), "unknown gate kind 'y'"),
+    (lambda: Gate(CNOT, 0), "cnot needs a control"),
+    (lambda: Gate(CNOT, 1, control=1), "control and target must differ"),
+    (lambda: Gate(H, 0, control=1), "h takes no control"),
+    (lambda: Circuit(2, (Gate(H, 2),)), "gate wire 2 outside width 2"),
+    (lambda: Circuit(2, (), (1, 1)), "measured wires must be distinct"),
+    (lambda: Circuit(2, (), (2,)), "measured wire 2 outside width 2"),
+    (lambda: Circuit(2, (), (), ("a",)), "labels must cover every wire"),
+    (lambda: MeasurementMultiset(2, {4: 1}), "outcome 4 out of range for n=2"),
+    (lambda: MeasurementMultiset(2, {1: -1}), "negative count for outcome 1"),
+    (lambda: MeasurementMultiset(2, {1: 1}).merge(MeasurementMultiset(3, {1: 1})),
+     "outcome length mismatch: 2 vs 3"),
+    (lambda: TopologyGraph.from_edges(3, [(1, 1)]), "self-loop at vertex 1"),
+    (lambda: TopologyGraph.from_edges(3, [(0, 3)]), r"edge \(0,3\) outside vertex range"),
+    (lambda: _route_two_wires(("a", "b"), {"a": 0}), "configuration is missing wire 'b'"),
+    (lambda: _route_two_wires(("a", "b"), {"a": 0, "b": 3}), "vertex 3 outside the device"),
+    (lambda: _route_two_wires(("a", "a"), {"a": 0}), "vertex 0 assigned twice"),
+])
+def test_constructors_and_route_reject_bad_input(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_melbourne_shape():
