@@ -27,6 +27,7 @@ from .multiset import MeasurementMultiset, merge_all, write_table
 from .noise import NoiseParams, default_noise, sample_noisy
 from .reductions import (
     LpnSample,
+    SolveFailure,
     chi_square_check,
     lpn_model_distribution,
     lsn_samples_to_lpn,
@@ -241,6 +242,8 @@ def cmd_stats(args) -> int:
 def cmd_crossover(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
+    if args.pool_size < 6:  # pooled_lsn draws n - 1 distinct samples, n up to 7
+        raise ValueError("--pool-size must be >= 6 for crossover")
     out = _out_dir(args)
     rng = np.random.default_rng(args.seed)
     rows = []
@@ -315,6 +318,8 @@ def cmd_solve(args) -> int:
     if args.algorithm == "period":
         s, cost = classical_period(f)
     elif args.algorithm == "pooled-lsn":
+        if args.pool_size < n - 1:
+            raise ValueError(f"--pool-size must be >= {n - 1} for pooled-lsn at n={n}")
         pool_params = LsnParams(n, tau, f.s)
         pool = SamplePool.from_ints(n, sample_many(pool_params, args.pool_size, rng))
         s, cost = pooled_lsn(f, pool, rng)
@@ -409,13 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Run one command; bad input ends in a one-line error and exit status 2."""
+    """Run one command; bad input ends in a one-line error and exit status 2,
+    a solver that gives up (`SolveFailure`) in one with exit status 1."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, SolveFailure) as exc:
         print(f"noisysimon: error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, SolveFailure) else 2
 
 
 if __name__ == "__main__":

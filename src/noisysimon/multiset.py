@@ -117,7 +117,7 @@ class MeasurementMultiset:
         if not self.counts:  # n is written only through the rows
             raise EmptyMultisetError("cannot write an empty multiset: its CSV would have no rows")
         write_table(path, header or {}, ("outcome", "count"),
-                    ((format(o, f"0{self.n}b"), c) for o, c in sorted(self.counts.items())))
+                    ((BitVec(self.n, o), c) for o, c in sorted(self.counts.items())))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "MeasurementMultiset":
@@ -126,6 +126,8 @@ class MeasurementMultiset:
             raise EmptyMultisetError(f"no outcomes in {path}")
         counts: Dict[int, int] = {}
         for o, c in rows:
+            if not (c.isascii() and c.isdecimal()):  # int() also takes "+3", "1_0" and " 3"
+                raise ValueError(f"row '{BitVec(n, o)},{c}' of {path}: the count is not 0-9 digits")
             counts[o] = counts.get(o, 0) + int(c)
         return cls(n, counts)
 

@@ -140,18 +140,14 @@ class CircuitNorm:
     def value(self) -> int:
         return self.g1 + 10 * self.g2
 
-    def __int__(self) -> int:
-        return self.value
+
+def _norm_of(gates: Sequence[Gate]) -> CircuitNorm:
+    g2 = sum(1 for g in gates if g.arity == 2)
+    return CircuitNorm(len(gates) - g2, g2)
 
 
 def circuit_norm(circuit: Circuit) -> CircuitNorm:
-    g1, g2 = circuit.gate_counts()
-    return CircuitNorm(g1, g2)
-
-
-def _norm_of(gates: Sequence[Gate]) -> int:
-    g2 = sum(1 for g in gates if g.arity == 2)
-    return (len(gates) - g2) + 10 * g2
+    return _norm_of(circuit.gates)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +215,8 @@ def route(circuit: Circuit, graph: TopologyGraph, config: Configuration) -> Circ
     unchanged.
     """
     assign = config.as_dict()
-    pos: Dict[object, int] = {}
-    occ: Dict[int, object] = {}
+    pos: List[int] = []  # wire -> vertex
+    occ = [-1] * graph.n  # vertex -> wire, or -1
     for w in range(circuit.width):
         lab = circuit.label_of(w)
         if lab not in assign:
@@ -228,38 +224,25 @@ def route(circuit: Circuit, graph: TopologyGraph, config: Configuration) -> Circ
         v = assign[lab]
         if not 0 <= v < graph.n:
             raise ValueError(f"vertex {v} outside the device")
-        if v in occ:
+        if occ[v] >= 0:
             raise ValueError(f"vertex {v} assigned twice")
-        pos[lab] = v
-        occ[v] = lab
+        pos.append(v)
+        occ[v] = w
 
     out: List[Gate] = []
     for g in circuit.gates:
-        if g.arity == 1:
-            out.append(Gate(g.kind, pos[circuit.label_of(g.target)]))
-            continue
-        c_lab = circuit.label_of(g.control)
-        t_lab = circuit.label_of(g.target)
-        pc, pt = pos[c_lab], pos[t_lab]
-        if not graph.are_adjacent(pc, pt):
-            path = graph.shortest_path(pc, pt)
+        if g.arity == 2 and not graph.are_adjacent(pos[g.control], pos[g.target]):
+            path = graph.shortest_path(pos[g.control], pos[g.target])
             for k in range(len(path) - 1, 1, -1):
                 a, b = path[k - 1], path[k]
                 out.extend(_swap_gates(a, b))
-                la, lb = occ.get(a), occ.get(b)
-                if la is not None:
-                    pos[la] = b
-                if lb is not None:
-                    pos[lb] = a
-                occ[a], occ[b] = lb, la
-                if occ[a] is None:
-                    del occ[a]
-                if occ[b] is None:
-                    del occ[b]
-            pc, pt = pos[c_lab], pos[t_lab]
-        out.append(Gate(CNOT, pt, control=pc))
+                occ[a], occ[b] = occ[b], occ[a]
+                for v in (a, b):
+                    if occ[v] >= 0:
+                        pos[occ[v]] = v
+        out.append(Gate(g.kind, pos[g.target], None if g.control is None else pos[g.control]))
 
-    measured = tuple(pos[circuit.label_of(m)] for m in circuit.measured)
+    measured = tuple(pos[m] for m in circuit.measured)
     return Circuit(graph.n, tuple(out), measured, labels=tuple(range(graph.n)))
 
 
@@ -320,7 +303,7 @@ def _control_change(gates: List[Gate], width: int) -> List[Gate]:
         if not group:
             continue
         candidate = _cancel_adjacent(_expand_control_change(gates, group))
-        if _norm_of(candidate) < _norm_of(gates):
+        if _norm_of(candidate).value < _norm_of(gates).value:
             gates = candidate
     return gates
 
@@ -484,12 +467,22 @@ def _optimized_logical(f: SimonFunction) -> Circuit:
 def compile_simon_circuit(
     f: SimonFunction, graph: TopologyGraph, config: Configuration
 ) -> Circuit:
-    """Build, optimize, place+route, and re-optimize the period-finding circuit.
+    """Build, optimize and place+route the period-finding circuit, and
+    re-optimize it if the route inserted swaps.
 
     Optimizing before layout keeps the router away from wires the rewriter
-    is about to delete anyway (the redundant copy of the control wire).
+    is about to delete anyway (the redundant copy of the control wire). A
+    swap-free route only renames the wires of the optimized logical circuit,
+    which is at the R1-R4 fixpoint: R1, R2 and R4 ignore wire names, and R3
+    accepts no target group there, so it accepts none after the renaming
+    either. A swap adds 3 CNOTs and routing drops no gate, so the route is
+    swap-free iff it kept the gate count.
     """
-    return peephole_optimize(route(_optimized_logical(f), graph, config))
+    logical = _optimized_logical(f)
+    routed = route(logical, graph, config)
+    if len(routed.gates) == len(logical.gates):
+        return _compact(routed)
+    return peephole_optimize(routed)
 
 
 def _search(
@@ -508,9 +501,8 @@ def _search(
         if limit is not None and len(configs) >= limit:
             break
 
-    if configs:
-        best = compile_simon_circuit(f, graph, configs[0])
-        return configs, circuit_norm(best)
+    if configs:  # swap-free, so each compiles to `logical` with renamed wires
+        return configs, circuit_norm(logical)
 
     # No swap-free placement exists: fall back to exhaustive routed search,
     # if it is small enough to end in seconds.
@@ -520,14 +512,11 @@ def _search(
             f"no swap-free placement, and the routed search over {count:,} placements "
             f"exceeds the limit of {ROUTED_SEARCH_LIMIT:,}"
         )
-    best_cfg = None
-    best_cn = None
-    for placement in itertools.permutations(range(graph.n), len(nodes)):
-        cfg = _fill_free_vertices(dict(zip(nodes, placement)), all_labels, graph)
-        cn = circuit_norm(compile_simon_circuit(f, graph, cfg))
-        if best_cn is None or cn.value < best_cn.value:
-            best_cfg, best_cn = cfg, cn
-    return [best_cfg], best_cn
+    configs = [_fill_free_vertices(dict(zip(nodes, placement)), all_labels, graph)
+               for placement in itertools.permutations(range(graph.n), len(nodes))]
+    norms = [circuit_norm(compile_simon_circuit(f, graph, cfg)) for cfg in configs]
+    best = min(range(len(configs)), key=lambda k: norms[k].value)  # the first minimum
+    return [configs[best]], norms[best]
 
 
 @functools.lru_cache(maxsize=64)

@@ -13,6 +13,7 @@ from noisysimon import cli, smoothing, transpile
 from noisysimon.circuits import build_simon_circuit
 from noisysimon.cli import TECHNIQUES, main
 from noisysimon.multiset import MeasurementMultiset
+from noisysimon.reductions import SolveFailure
 from noisysimon.simon import SimonFunction
 from noisysimon.statevector import circuits_equivalent
 
@@ -162,6 +163,29 @@ def test_smooth_all_samples_each_base_multiset_once(tmp_path, monkeypatch):
     assert calls == {"sample": 153, "compile": 51, "search": 1}
 
 
+def test_smooth_all_optimizes_only_the_logical_circuit(tmp_path, monkeypatch):
+    """Every placement of the smoothing table is swap-free, so each compile
+    renames the wires of the optimized logical circuit: the rewriter runs
+    once, on the logical circuit, and not once per placement."""
+    calls = []
+    original = transpile.peephole_optimize
+
+    def counting(circuit):
+        calls.append(circuit)
+        return original(circuit)
+
+    monkeypatch.setattr(transpile, "peephole_optimize", counting)
+    caches = (transpile._optimized_logical, transpile.search_min_configuration)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        assert main(["--out-dir", str(tmp_path), "smooth", "--n", "7", "--technique", "all"]) == 0
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert calls == [build_simon_circuit(SimonFunction.default(7))]
+
+
 def test_smooth_honours_workers_in_every_row(tmp_path):
     for workers in (1, 2):
         assert main(["--out-dir", str(tmp_path / f"w{workers}"), "--workers", str(workers),
@@ -269,6 +293,10 @@ def test_bad_input_gives_one_line_error(tmp_path, capsys):
          "--configs must be >= 1"),
         (["solve", "--algorithm", "pooled-gauss", "--n", "3", "--pool-size", "128"],
          "--pool-size must be >= 131"),
+        (["solve", "--algorithm", "pooled-lsn", "--n", "5", "--pool-size", "0"],
+         "--pool-size must be >= 4 for pooled-lsn at n=5"),
+        (["crossover", "--pool-size", "0"], "--pool-size must be >= 6 for crossover"),
+        (["crossover", "--pool-size", "5"], "--pool-size must be >= 6 for crossover"),
         (["stats", "--multiset", str(multiset), "--label", "a,b"], "holds a comma"),
         (["stats", "--multiset", str(multiset), "--label", "a\nb"], "has a line break"),
     ]
@@ -280,6 +308,18 @@ def test_bad_input_gives_one_line_error(tmp_path, capsys):
     assert not (tmp_path / "stats.csv").exists()
     assert main(["--out-dir", str(tmp_path), "smooth", "--n", "3", "--technique", "none",
                  "--configs", "0"]) == 0
+
+
+def test_solver_failure_gives_one_line_error_and_status_1(tmp_path, capsys, monkeypatch):
+    def give_up(*args, **kwargs):
+        raise SolveFailure("no verified period within 1000000 loops")
+
+    monkeypatch.setattr(cli, "pooled_lsn", give_up)
+    assert main(["--out-dir", str(tmp_path), "solve", "--algorithm", "pooled-lsn",
+                 "--n", "4", "--tau", "0.3", "--pool-size", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err == "noisysimon: error: no verified period within 1000000 loops\n"
+    assert not (tmp_path / "solve.csv").exists()
 
 
 def test_sparse_multiset_is_a_one_line_error(tmp_path, capsys):

@@ -1,0 +1,65 @@
+"""The input checks of the library's constructors and entry points: each bad
+input raises its own one-line error, before any work is done."""
+
+import numpy as np
+import pytest
+
+from noisysimon.circuits import build_simon_circuit
+from noisysimon.gf2 import BitVec, DimensionError
+from noisysimon.lsn import LsnParams
+from noisysimon.multiset import MeasurementMultiset
+from noisysimon.noise import default_noise, sample_noisy
+from noisysimon.reductions import LpnSample, chi_square_check, lpn_sample_to_lsn, lsn_sample_to_lpn
+from noisysimon.simon import SimonFunction
+from noisysimon.smoothing import hamming_smooth
+from noisysimon.solvers import pooled_gauss_lpn
+from noisysimon.stats import chi_square_gof, kl_divergence, kolmogorov_distance
+
+rng = np.random.default_rng(0)
+half, quarter = np.full(2, 0.5), np.full(4, 0.25)
+lpn = LpnSample(BitVec(3, 1), 0)
+simon2 = build_simon_circuit(SimonFunction.default(2))
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: BitVec(-1, 0), ValueError, "negative length -1"),
+    (lambda: BitVec(2, 4), ValueError, "value 4 out of range for n=2"),
+    (lambda: BitVec.from_string("012"), ValueError, "not a bitstring: '012'"),
+    (lambda: BitVec(2, 1)[2], IndexError, "coordinate 2 out of range for n=2"),
+    (lambda: SimonFunction(3, BitVec(2, 1), 0), DimensionError, "period length 2 != n=3"),
+    (lambda: SimonFunction(2, BitVec(2, 1), 2), ValueError, "control index 2 out of range"),
+    (lambda: SimonFunction.default(1), ValueError, "default instantiation needs n >= 2"),
+    (lambda: SimonFunction.from_period(BitVec(3, 0)), ValueError, "period must be nonzero"),
+    (lambda: SimonFunction.default(3).verify_period(BitVec(2, 1)), DimensionError,
+     "candidate length 2 != n=3"),
+    (lambda: LsnParams(3, 0.1, BitVec(2, 1)), ValueError, "period length 2 != n=3"),
+    (lambda: kl_divergence(half, quarter), ValueError, "different outcome spaces"),
+    (lambda: kolmogorov_distance(half, quarter), ValueError, "different outcome spaces"),
+    (lambda: kl_divergence(np.array([1.5, -0.5]), half), ValueError, "negative probability"),
+    (lambda: kolmogorov_distance(half, np.array([0.5, 0.25])), ValueError,
+     "probabilities sum to 0.75, not 1"),
+    (lambda: chi_square_gof(np.array([3, 4]), np.array([1.0, 0.0])), ValueError,
+     "expected count of zero"),
+    (lambda: chi_square_check(LsnParams(3, 0.0, BitVec(3, 3)), BitVec(3, 1), 10**5, rng),
+     ValueError, "the chi-square check needs tau > 0"),
+    (lambda: lsn_sample_to_lpn(BitVec(3, 1), BitVec(2, 1), rng), DimensionError,
+     "length mismatch: 3 vs 2"),
+    (lambda: lpn_sample_to_lsn(lpn, BitVec(2, 1)), DimensionError, "length mismatch: 3 vs 2"),
+    (lambda: pooled_gauss_lpn([], lambda s: True, rng), ValueError, "empty pool"),
+    (lambda: pooled_gauss_lpn([lpn, lpn], lambda s: True, rng), ValueError,
+     "pool of 2 cannot determine 3 unknowns"),
+    (lambda: hamming_smooth(MeasurementMultiset(3, {1: 1}), BitVec(2, 1)), ValueError,
+     "shift length 2 != outcome length 3"),
+    (lambda: sample_noisy(simon2, default_noise(), 10, seed=1, workers=0), ValueError,
+     "workers must be >= 1"),
+])
+def test_bad_input_raises_its_own_error(make, error, message):
+    with pytest.raises(error, match=message) as info:
+        make()
+    assert "\n" not in str(info.value)
+
+
+def test_more_workers_than_shots_skips_the_empty_chunks():
+    m = sample_noisy(simon2, default_noise(), 3, seed=1, workers=5)
+    assert m.total == 3
+    assert m == sample_noisy(simon2, default_noise(), 3, seed=1, workers=3)

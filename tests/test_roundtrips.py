@@ -2,6 +2,8 @@
 multiset CSV, `Circuit` JSON (text and file), `Configuration` JSON and the
 LPN-sample CSV."""
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ one_line = st.text().filter(lambda t: f"#{t}".splitlines() == [f"#{t}"])
 
 @st.composite
 def multisets(draw):
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(0, 12))
     counts = draw(st.dictionaries(st.integers(0, (1 << n) - 1), st.integers(0, 10**9),
                                   min_size=1, max_size=40))
     return MeasurementMultiset(n, counts)
@@ -26,6 +28,7 @@ def multisets(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(multisets(), st.dictionaries(one_line, st.one_of(st.integers(), one_line), max_size=3))
+@example(m=MeasurementMultiset(0, {0: 3}), header={})  # written as ",3", so read back with n=0
 def test_multiset_csv_round_trip(tmp_path_factory, m, header):
     path = tmp_path_factory.getbasetemp() / "multiset.csv"
     m.to_csv(path, header=header)
@@ -50,6 +53,18 @@ def test_csv_readers_reject_malformed_rows(tmp_path, read, columns, body, messag
     path.write_text(f"# seed=1\n{columns}\n0101,1\n{body}\n")
     with pytest.raises(ValueError, match=message) as info:
         read(path)
+    assert str(path) in str(info.value) and "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("count", ["1_0", "+3", "x", "-1", "", " 3", "\uff13"])
+def test_multiset_reader_takes_counts_of_ascii_digits_only(tmp_path, count):
+    """int() alone read `1_0` as 10, `+3` as 3 and the full-width digit as
+    3, and failed on `x` and `-1` without naming the file."""
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# seed=1\noutcome,count\n00,1\n01,{count}\n")
+    message = f"row '01,{re.escape(count)}' of .*: the count is not 0-9 digits"
+    with pytest.raises(ValueError, match=message) as info:
+        MeasurementMultiset.from_csv(path)
     assert str(path) in str(info.value) and "\n" not in str(info.value)
 
 

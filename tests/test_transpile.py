@@ -3,11 +3,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from noisysimon.circuits import CNOT, Circuit, Gate, H, build_simon_circuit
+import noisysimon.transpile as transpile
+from noisysimon.circuits import CNOT, Circuit, Gate, H, build_simon_circuit, simon_wire_labels
 from noisysimon.gf2 import BitVec
 from noisysimon.multiset import MeasurementMultiset
 from noisysimon.simon import SimonFunction
+from noisysimon.smoothing import permutation_configurations
 from noisysimon.statevector import circuits_equivalent
 from noisysimon.transpile import (
     CapacityError,
@@ -159,8 +163,6 @@ def test_enumerated_configs_all_attain_minimum(graph):
 
 
 def test_logical_circuit_is_optimized_once_per_function(graph, monkeypatch):
-    import noisysimon.transpile as transpile
-
     calls = []
 
     def counting(circuit):
@@ -294,3 +296,48 @@ def test_star_device_search_ends_in_seconds():
         search_min_configuration(f, star(15))
     assert search_min_configuration(SimonFunction.default(2), star(15))[1].value == TABLE_CN[2]
     assert time.perf_counter() - start < 10.0
+
+
+def _route_then_peephole(f, graph, config):
+    return peephole_optimize(route(transpile._optimized_logical(f), graph, config))
+
+
+def test_compile_equals_peephole_of_the_route(graph):
+    """A swap-free route is only compacted, a routed one is rewritten again;
+    both give the circuit the full peephole of the route gives."""
+    rng = np.random.default_rng(14)
+    for n in range(2, 8):
+        f = SimonFunction.default(n)
+        cfg, _ = search_min_configuration(f, graph)
+        configs = ([cfg] + permutation_configurations(f, graph, 50, rng, base=cfg)
+                   + enumerate_min_configurations(f, graph, limit=50))
+        for c in configs:
+            assert compile_simon_circuit(f, graph, c) == _route_then_peephole(f, graph, c)
+    f = SimonFunction.default(3)
+    naive = compile_simon_circuit(f, graph, Configuration.naive(3))  # has swaps
+    assert naive == _route_then_peephole(f, graph, Configuration.naive(3))
+    assert circuit_norm(naive).value == 303
+    cfg, _ = search_min_configuration(f, star(6))  # the routed search fallback
+    logical = transpile._optimized_logical(f)
+    assert len(route(logical, star(6), cfg).gates) > len(logical.gates)
+    assert compile_simon_circuit(f, star(6), cfg) == _route_then_peephole(f, star(6), cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_compile_equals_peephole_of_the_route_on_random_graphs(data):
+    n = data.draw(st.integers(1, 4))
+    f = SimonFunction.from_period(BitVec(n, data.draw(st.integers(1, (1 << n) - 1))))
+    vertices = data.draw(st.integers(2 * n, 2 * n + 3))
+    vertex = st.integers(0, vertices - 1)
+    edges = [(data.draw(st.integers(0, v - 1)), v) for v in range(1, vertices)]  # a spanning tree
+    edges += data.draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                                max_size=vertices))
+    placement = data.draw(st.permutations(range(vertices)))
+    assign = dict(zip(simon_wire_labels(n), placement))
+    logical = transpile._optimized_logical(f)
+    if data.draw(st.booleans()):  # add the edges that make the placement swap-free
+        edges += [(assign[a], assign[b]) for a, b in transpile._interaction_edges(logical)]
+    graph = TopologyGraph.from_edges(vertices, edges)
+    config = Configuration.from_dict(assign)
+    assert compile_simon_circuit(f, graph, config) == _route_then_peephole(f, graph, config)
