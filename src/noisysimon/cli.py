@@ -116,6 +116,8 @@ def _out_dir(args) -> Path:
 
 
 def cmd_transpile_report(args) -> int:
+    if args.n_min > args.n_max:
+        raise ValueError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     graph = _topology(args)
     out = _out_dir(args)
     rows = []

@@ -117,7 +117,10 @@ class NoiseParams:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "NoiseParams":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text()))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not JSON: {exc}") from exc
 
     def readout_for(self, label) -> Tuple[float, float]:
         if isinstance(label, int) and 0 <= label < len(self.readout):

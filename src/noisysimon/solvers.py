@@ -6,7 +6,9 @@ algorithm; per-iteration work is polynomial with the right bookkeeping.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -16,6 +18,9 @@ from .gf2 import BitVec, DimensionError, _echelon, nullspace_ints, parity
 from .multiset import MeasurementMultiset
 from .reductions import LpnSample, SolveFailure
 from .simon import SimonFunction
+from .transpile import CapacityError
+
+MAX_CLASSICAL_BITS = 24  # classical_period holds three 2^n-entry arrays, 272 MB at 24
 
 
 @dataclass(frozen=True)
@@ -70,61 +75,79 @@ class SamplePool:
 # Optimal classical period finding
 
 
+class _QuerySchedule:
+    """`classical_period`'s points in one dimension, computed a round at a
+    time: round j queries order[j], after which D is distances[:n_d[j]].
+    c[x] counts d in D with x+d in P, so the next point is argmin c outside
+    P; queried points score 2^62, above any count, so they are never chosen again."""
+
+    def __init__(self, n: int) -> None:
+        self.c = np.zeros(1 << n, dtype=np.int64)
+        self.in_d = np.zeros(1 << n, dtype=bool)
+        self.distances = np.zeros(1 << n, dtype=np.int64)
+        self.c[0], self.in_d[0] = 1 << 62, True
+        self.order, self.n_d, self.lock = [0], [1], threading.Lock()
+
+    def reach(self, j: int) -> bool:
+        """Compute the rounds up to j; False if D holds all but one distance first."""
+        with self.lock:
+            while len(self.order) <= j:
+                n_d, size = self.n_d[-1], self.c.size
+                if n_d >= size - 1:
+                    return False
+                x = int(self.c.argmin())
+                p = np.array(self.order + [x], dtype=np.int64)
+                arr = p ^ x
+                new = arr[~self.in_d[arr]]  # the distances x newly rules out, in point order
+                self.in_d[new] = True
+                self.c[self.distances[:n_d] ^ x] += 1
+                self.distances[n_d:n_d + new.size] = new
+                self.c += np.bincount((p[:, None] ^ new).ravel(), minlength=size)
+                self.c[x] = 1 << 62
+                self.n_d.append(n_d + new.size)
+                self.order.append(x)  # last: a round is read once its point is listed
+        return True
+
+
+_schedule = functools.lru_cache(maxsize=8)(_QuerySchedule)  # the schedule of dimension n
+
+
 def classical_period(
     f: SimonFunction,
     ledger_hook: Optional[Callable[[QueryLedger], None]] = None,
 ) -> Tuple[BitVec, CostReport]:
     """Query f at points chosen to rule out as many distances as possible.
 
-    Maintains the queried set P and the excluded-distance set D; each round
+    Keeps the queried set P and the excluded-distance set D; each round
     queries the x maximizing how many d in D would be newly ruled out, i.e.
     |{d in D : x+d not in P}|, ties broken toward the smallest x. Stops on a
     collision or, once |D| = 2^n - 1, names the one remaining distance.
 
-    The score table is maintained incrementally: c[x] counts d in D with
-    x+d in P, so the chosen x is argmin c outside P. Queried points carry a
-    score above any count, so they are never chosen again.
+    Each point depends on P and D alone, and until the first collision P
+    grows by each point and D by its distances to P, whatever f is. So the
+    points are the same for every f of one dimension: `_schedule(n)` holds
+    them, computed as far as some call has needed, and a call reads f only
+    to test each point for a collision. `ledger_hook` gets P and D after
+    each round, at a collision those of the round before.
     """
     n = f.n
-    size = 1 << n
-    queried = 1 << 62
-    c = np.zeros(size, dtype=np.int64)
-    in_d = np.zeros(size, dtype=bool)
-    points = np.zeros(size, dtype=np.int64)  # P is points[:n_p], D is distances[:n_d]
-    distances = np.zeros(size, dtype=np.int64)
-
-    def snapshot() -> QueryLedger:
-        return QueryLedger(tuple(points[:n_p].tolist()), tuple(distances[:n_d].tolist()))
-
+    if n > MAX_CLASSICAL_BITS:
+        raise CapacityError(f"n={n} exceeds the {MAX_CLASSICAL_BITS}-bit classical period limit")
+    sched = _schedule(n)
     seen = {f.eval_int(0): 0}
-    c[0] = queried
-    in_d[0] = True
-    n_p = n_d = 1
-    loops = 0
-    while n_d < size - 1:
-        x = int(c.argmin())
-        loops += 1
+    j = 1
+    while j < len(sched.order) or sched.reach(j):
+        x = sched.order[j]
         fx = f.eval_int(x)
-        if fx in seen:
-            if ledger_hook is not None:
-                ledger_hook(snapshot())
-            return BitVec(n, x ^ seen[fx]), CostReport(loops, loops + 1)
-        seen[fx] = x
-        points[n_p] = x
-        n_p += 1
-        p = points[:n_p]
-        arr = p ^ x
-        new = arr[~in_d[arr]]  # the distances x newly rules out, in point order
-        in_d[new] = True
-        c[distances[:n_d] ^ x] += 1
-        distances[n_d:n_d + new.size] = new
-        n_d += new.size
-        c += np.bincount((p[:, None] ^ new).ravel(), minlength=size)
-        c[x] = queried
         if ledger_hook is not None:
-            ledger_hook(snapshot())
-    s = int(np.flatnonzero(~in_d)[0])
-    return BitVec(n, s), CostReport(loops, loops + 1)
+            k = j - (fx in seen)
+            ledger_hook(QueryLedger(tuple(sched.order[:k + 1]),
+                                    tuple(sched.distances[:sched.n_d[k]].tolist())))
+        if fx in seen:
+            return BitVec(n, x ^ seen[fx]), CostReport(j, j + 1)
+        seen[fx] = x
+        j += 1
+    return BitVec(n, int(sched.in_d.argmin())), CostReport(j - 1, j)
 
 
 # ---------------------------------------------------------------------------

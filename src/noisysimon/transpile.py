@@ -73,9 +73,11 @@ class TopologyGraph:
     @classmethod
     def from_json(cls, path: str | Path) -> "TopologyGraph":
         """The graph from its JSON form {"vertices": n, "edges": [[u, v], ...]}."""
-        d = json.loads(Path(path).read_text())
         try:
+            d = json.loads(Path(path).read_text())
             return cls.from_edges(d["vertices"], d["edges"])
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not JSON: {exc}") from exc
         except (KeyError, TypeError) as exc:
             raise ValueError(f'malformed topology (needs "vertices" and "edges"): {exc}') from exc
 

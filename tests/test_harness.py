@@ -261,6 +261,8 @@ def test_custom_topology_flag(tmp_path):
 def test_bad_input_gives_one_line_error(tmp_path, capsys):
     bad_noise = tmp_path / "bad.json"
     bad_noise.write_text('{"eps1": 0.01,')
+    not_json = tmp_path / "topology.txt"
+    not_json.write_text("0-1 1-2\n")
     split = tmp_path / "split.json"
     split.write_text(json.dumps({"vertices": 4, "edges": [[0, 1], [2, 3]]}))
     star = tmp_path / "star.json"
@@ -279,7 +281,12 @@ def test_bad_input_gives_one_line_error(tmp_path, capsys):
         (["--topology", str(split), "measure", "--n", "2"], "are disconnected"),
         (["measure", "--n", "7", "--shots", "0"], "shots must be >= 1"),
         (["measure", "--n", "8"], "need 16 wires but the device has 15"),
-        (["--noise", str(bad_noise), "measure", "--n", "2"], "Expecting property name"),
+        (["--noise", str(bad_noise), "measure", "--n", "2"],
+         f"{bad_noise} is not JSON: Expecting property name"),
+        (["--topology", str(not_json), "measure", "--n", "2"], f"{not_json} is not JSON: "),
+        (["transpile-report", "--n-min", "5", "--n-max", "3"], "--n-min 5 exceeds --n-max 3"),
+        (["solve", "--algorithm", "period", "--n", "40"],
+         "n=40 exceeds the 24-bit classical period limit"),
         (["--noise", str(tmp_path / "missing.json"), "measure", "--n", "2"], "No such file"),
         (["--topology", str(no_edges), "measure", "--n", "2"], "malformed topology"),
         (["crossover", "--trials", "0"], "--trials must be >= 1"),
@@ -306,6 +313,8 @@ def test_bad_input_gives_one_line_error(tmp_path, capsys):
         assert err.startswith("noisysimon: error: ") and message in err
         assert err.count("\n") == 1
     assert not (tmp_path / "stats.csv").exists()
+    assert not (tmp_path / "transpile_report.csv").exists()
+    assert not (tmp_path / "solve.csv").exists()
     assert main(["--out-dir", str(tmp_path), "smooth", "--n", "3", "--technique", "none",
                  "--configs", "0"]) == 0
 

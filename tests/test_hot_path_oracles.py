@@ -39,6 +39,8 @@ from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
 import math
+import sys
+import threading
 from typing import Callable, List, Optional, Tuple
 
 from noisysimon import noise as noise_module
@@ -55,7 +57,13 @@ from noisysimon.gf2 import BitVec, _echelon, nullspace_ints
 from noisysimon.noise import NoiseParams, _sample_chunk, _split_field
 from noisysimon.simon import SimonFunction
 from noisysimon.smoothing import permutation_configurations
-from noisysimon.solvers import CostReport, QueryLedger, _solve_full_rank, classical_period
+from noisysimon.solvers import (
+    CostReport,
+    QueryLedger,
+    _schedule,
+    _solve_full_rank,
+    classical_period,
+)
 from noisysimon.statevector import exact_output_distribution, frames_and_support, output_support
 from noisysimon.transpile import (
     Configuration,
@@ -732,11 +740,55 @@ def classical_period_per_distance(
 
 
 def test_classical_period_ledgers_match_per_distance_updates():
-    for n in range(1, 7):
-        for sv in range(1, 1 << n):
-            f = SimonFunction.from_period(BitVec(n, sv))
-            fast, slow = [], []
-            got = classical_period(f, ledger_hook=fast.append)
-            want = classical_period_per_distance(f, ledger_hook=slow.append)
-            assert got == want and fast == slow
-            assert all(type(v) is int for led in fast for v in led.points + led.distances)
+    """The cached schedules give the same ledgers whichever calls extend them:
+    in ascending s, then from cleared caches in descending s."""
+    for descending in (False, True):
+        if descending:
+            _schedule.cache_clear()
+        for n in range(1, 7):
+            periods = range(1, 1 << n)
+            for sv in reversed(periods) if descending else periods:
+                f = SimonFunction.from_period(BitVec(n, sv))
+                fast, slow = [], []
+                got = classical_period(f, ledger_hook=fast.append)
+                want = classical_period_per_distance(f, ledger_hook=slow.append)
+                assert got == want and fast == slow
+                assert all(type(v) is int for led in fast for v in led.points + led.distances)
+
+
+def test_one_call_extends_the_schedule_only_as_far_as_it_walks():
+    _schedule.cache_clear()
+    _, cost = classical_period(SimonFunction.from_period(BitVec(16, 3)))
+    assert len(_schedule(16).order) == cost.loop_count + 1
+
+
+def test_threads_extending_one_cold_schedule_match_the_oracle():
+    """Four threads walk and extend a cold n=9 schedule at once, each in its
+    own order of s after the deepest walks, switching every microsecond."""
+    n = 9
+    fs = {sv: SimonFunction.from_period(BitVec(n, sv)) for sv in range(1, 1 << n)}
+    want = {sv: classical_period_per_distance(f) for sv, f in fs.items()}
+    deepest = sorted(fs, key=lambda sv: -want[sv][1].loop_count)
+
+    def walk(k, got, start):
+        order = deepest[:8] + np.random.default_rng(k).permutation(deepest[8:]).tolist()
+        start.wait()
+        for sv in order:
+            got[sv] = classical_period(fs[sv])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(5):
+            _schedule.cache_clear()
+            got, start = [{} for _ in range(4)], threading.Barrier(4)
+            threads = [threading.Thread(target=walk, args=(4 * trial + k, got[k], start))
+                       for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [want] * 4
+    finally:
+        sys.setswitchinterval(interval)

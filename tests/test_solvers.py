@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from noisysimon.reductions import LpnSample, SolveFailure, lsn_sample_to_lpn
 from noisysimon.simon import SimonFunction
 from noisysimon.solvers import (
     SamplePool,
+    _schedule,
     classical_period,
     expected_pooled_gauss_loops,
     expected_pooled_lsn_loops,
@@ -19,6 +21,7 @@ from noisysimon.solvers import (
     runtime_exponent_pooled,
     runtime_exponent_wellpooled,
 )
+from noisysimon.transpile import CapacityError
 from test_hot_path_oracles import classical_period_reference
 
 
@@ -59,6 +62,22 @@ def test_degenerate_dimension_returns_without_looping():
     f = SimonFunction(1, BitVec(1, 1), 0)
     s, cost = classical_period(f)
     assert s.value == 1 and cost.loop_count == 0
+
+
+def test_classical_period_refuses_a_dimension_it_cannot_hold():
+    """n=40 would need 2^40-entry arrays: the error comes before any schedule
+    or array is made."""
+    f = SimonFunction.from_period(BitVec(40, 3))
+    cached = _schedule.cache_info().currsize
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="n=40 exceeds the 24-bit") as info:
+            classical_period(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "\n" not in str(info.value)
+    assert peak < 1 << 20 and _schedule.cache_info().currsize == cached
 
 
 def test_distance_set_is_pairwise_closure_of_points():
