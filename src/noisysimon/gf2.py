@@ -1,7 +1,8 @@
 """Vectors over F_2 packed into ints, and linear algebra on lists of them.
 
 `BitVec` is the checked form used at the edges (text, lengths); rank,
-nullspace and orthogonal bases take and give rows as plain packed ints.
+nullspace, linear solves and orthogonal bases take and give rows as plain
+packed ints.
 Vectors are fixed-length with coordinate 0 stored in the least significant
 bit, so the text form ``"011"`` means x_2=0, x_1=1, x_0=1 (most significant
 coordinate printed first).
@@ -10,7 +11,7 @@ coordinate printed first).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,17 +114,17 @@ def rank_ints(values: Sequence[int], n: int) -> int:
     return len(_echelon(values, n))
 
 
-def nullspace_ints(values: Sequence[int], n: int) -> List[int]:
-    """Basis of {x : <x, row> = 0 for all rows}, one vector per free column."""
-    basis = _echelon(values, n)
+def _free(basis: Sequence[int], n: int) -> List[int]:
+    """Nullspace basis of the first n columns of a reduced echelon `basis`,
+    one vector per free column."""
     pivots = 0
     for row in basis:
         pivots |= row & -row
     out = []
-    for j in range(n):
-        bit = 1 << j
-        if pivots & bit:
-            continue
+    free = ~pivots & ((1 << n) - 1)
+    while free:
+        bit = free & -free
+        free ^= bit
         x = bit
         for row in basis:
             if row & bit:
@@ -132,18 +133,32 @@ def nullspace_ints(values: Sequence[int], n: int) -> List[int]:
     return out
 
 
+def nullspace_ints(values: Sequence[int], n: int) -> List[int]:
+    """Basis of {x : <x, row> = 0 for all rows}, one vector per free column."""
+    return _free(_echelon(values, n), n)
+
+
+def solve_ints(rows: Sequence[int], n: int) -> Tuple[Optional[int], List[int]]:
+    """Solve <a_i, x> = b_i over F_2 for rows packed as a_i | b_i << n.
+
+    Returns (x, null): x is a solution, None if the system is inconsistent,
+    and null is a basis of the nullspace of the a_i, so the solutions are
+    x + span(null). In the reduced echelon basis every row has its own pivot
+    coordinate, so setting only the pivots of the rows labelled 1 solves all
+    of them. The label-only row 1 << n, whose pivot is the label itself,
+    means 0 = 1.
+    """
+    basis = _echelon(rows, n + 1)
+    label = 1 << n
+    x = 0
+    for row in basis:
+        if row & label:
+            x |= row & -row
+    return (None if x & label else x), _free(basis, n)
+
+
 def orthogonal_basis(s: BitVec) -> List[int]:
     """n-1 independent packed ints spanning the subspace orthogonal to s."""
     if s.value == 0:
         raise ValueError("s must be nonzero")
-    n = s.n
-    i0 = (s.value & -s.value).bit_length() - 1  # lowest set coordinate
-    rows = []
-    for j in range(n):
-        if j == i0:
-            continue
-        v = 1 << j
-        if (s.value >> j) & 1:
-            v |= 1 << i0
-        rows.append(v)
-    return rows
+    return nullspace_ints([s.value], s.n)

@@ -15,7 +15,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gf2 import BitVec, DimensionError, parity, rank_ints
+from .gf2 import BitVec, DimensionError, parity
 from .lsn import LsnParams, model_distribution, sample_many
 from .multiset import read_table, write_table
 from .stats import chi_square_gof
@@ -155,17 +155,15 @@ def projection_functionals(n: int, k: int, exclude: Optional[BitVec] = None) -> 
     """k standard-basis functionals, linearly independent modulo {exclude}.
 
     Evaluating them on a vector uniform over either coset of exclude^perp
-    yields a uniform k-bit cell index.
+    yields a uniform k-bit cell index. Unit vectors span exclude exactly
+    when they cover its set coordinates, so the first k of them, skipping
+    the highest set coordinate of exclude, are the lowest such choice.
     """
-    chosen: List[int] = []
-    base = [exclude.value] if exclude is not None else []
-    for j in range(n):
-        cand = chosen + [1 << j]
-        if rank_ints(base + cand, n) == len(base) + len(cand):
-            chosen.append(1 << j)
-        if len(chosen) == k:
-            return chosen
-    raise ValueError(f"cannot find {k} independent functionals")
+    top = exclude.value.bit_length() - 1 if exclude is not None else -1
+    chosen = [1 << j for j in range(n) if j != top][:k]
+    if len(chosen) < k:
+        raise ValueError(f"cannot find {k} independent functionals")
+    return chosen
 
 
 def _projection_counts(

@@ -39,17 +39,10 @@ def hamming_vector_candidates(n: int) -> List[BitVec]:
 
 
 def choose_hamming_vector(s: BitVec) -> BitVec:
-    """Highest-weight candidate orthogonal to s.
-
-    All-ones works iff s has even weight; otherwise dropping any set bit of s
-    restores orthogonality.
-    """
-    n = s.n
-    ones = BitVec.ones(n)
-    if ones.inner(s) == 0:
-        return ones
-    j = (s.value & -s.value).bit_length() - 1
-    return BitVec(n, ones.value ^ (1 << j))
+    """The first of `hamming_vector_candidates(s.n)` orthogonal to s, so the
+    one of highest weight: all-ones if s has even weight, otherwise all-ones
+    without the lowest set bit of s."""
+    return next(v for v in hamming_vector_candidates(s.n) if v.inner(s) == 0)
 
 
 def hamming_smooth(m: MeasurementMultiset, v: BitVec) -> MeasurementMultiset:

@@ -14,7 +14,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gf2 import BitVec, DimensionError, _echelon, nullspace_ints, parity
+from .gf2 import BitVec, DimensionError, nullspace_ints, parity, solve_ints
 from .multiset import MeasurementMultiset
 from .reductions import LpnSample, SolveFailure
 from .simon import SimonFunction
@@ -172,44 +172,29 @@ def pooled_lsn(
     function oracle confirms. Every completed draw counts as one loop.
 
     n-1 rows have rank n-1 exactly when their nullspace is one-dimensional,
-    so one elimination serves as both the rank test and the solve."""
+    so one elimination serves as both the rank test and the solve. A pool of
+    exactly n-1 samples (or n = 1) allows one draw, taken without the
+    generator; SolveFailure follows at once if it fails."""
     vals = pool.values
     n = f.n
     if pool.n != n:
         raise DimensionError(f"pool of n={pool.n} for a function of n={n}")
     if len(vals) < n - 1:
         raise ValueError(f"pool of {len(vals)} cannot contain {n - 1} independent samples")
+    one_draw = len(vals) == n - 1 or n == 1
     loops = 0
     queries = 0
     while loops < max_loops:
         loops += 1
-        idx = _draw_distinct(rng, len(vals), n - 1) if n > 1 else []
+        idx = range(n - 1) if one_draw else _draw_distinct(rng, len(vals), n - 1)
         null = nullspace_ints([vals[i] for i in idx], n)
-        if len(null) != 1:
-            continue
-        (cand,) = null
-        queries += 1
-        if f.verify_period(BitVec(n, cand)):
-            return BitVec(n, cand), CostReport(loops, queries)
+        if len(null) == 1:
+            queries += 1
+            if f.verify_period(BitVec(n, null[0])):
+                return BitVec(n, null[0]), CostReport(loops, queries)
+        if one_draw:
+            raise SolveFailure(f"a pool of {len(vals)} allows one draw of {n - 1}: no verified period")
     raise SolveFailure(f"no verified period within {max_loops} loops")
-
-
-def _solve_full_rank(rows: List[int], labels: List[int], n: int) -> Optional[int]:
-    """Solve the n equations <a_i, s> = b_i over F_2; None if the a_i do not
-    determine s.
-
-    With the label stored above a's bits, the reduced echelon basis of the
-    rows a | b << n is, when the a_i are independent, e_j | s_j << n for
-    each j; otherwise it is shorter or holds the label-only row 1 << n."""
-    basis = _echelon([a | (b & 1) << n for a, b in zip(rows, labels)], n + 1)
-    label = 1 << n
-    if len(basis) != n or label in basis:
-        return None
-    s = 0
-    for row in basis:
-        if row & label:
-            s |= row & -row
-    return s
 
 
 def pooled_gauss_lpn(
@@ -219,7 +204,9 @@ def pooled_gauss_lpn(
     max_loops: int = 1_000_000,
 ) -> Tuple[BitVec, CostReport]:
     """Repeatedly draw n distinct parity samples, solve the linear system,
-    and return the first candidate the verifier accepts."""
+    and return the first candidate the verifier accepts. A pool of exactly n
+    samples allows one draw, taken without the generator; SolveFailure
+    follows at once if it fails."""
     if not isinstance(pool, (list, tuple)):
         pool = list(pool)
     if not pool:
@@ -227,18 +214,16 @@ def pooled_gauss_lpn(
     n = pool[0].a.n
     if len(pool) < n:
         raise ValueError(f"pool of {len(pool)} cannot determine {n} unknowns")
+    one_draw = len(pool) == n
     loops = 0
     while loops < max_loops:
         loops += 1
-        idx = _draw_distinct(rng, len(pool), n)
-        rows = [pool[i].a.value for i in idx]
-        labels = [pool[i].b for i in idx]
-        s = _solve_full_rank(rows, labels, n)
-        if s is None or s == 0:
-            continue
-        cand = BitVec(n, s)
-        if verifier(cand):
-            return cand, CostReport(loops, loops)
+        idx = range(n) if one_draw else _draw_distinct(rng, len(pool), n)
+        s, null = solve_ints([pool[i].a.value | (pool[i].b & 1) << n for i in idx], n)
+        if s is not None and not null and s != 0 and verifier(BitVec(n, s)):
+            return BitVec(n, s), CostReport(loops, loops)
+        if one_draw:
+            raise SolveFailure(f"a pool of {len(pool)} allows one draw of {n}: no verified secret")
     raise SolveFailure(f"no verified secret within {max_loops} loops")
 
 

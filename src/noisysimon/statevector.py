@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuits import CNOT, Circuit, H, X
-from .gf2 import _echelon, nullspace_ints
+from .gf2 import solve_ints
 from .transpile import CapacityError
 
 # Supports are materialised, one int64 per outcome: at most 2^24 (128 MiB).
@@ -91,14 +91,8 @@ def frames_and_support(circuit: Circuit):
             pivots.append((xr & -xr, (xr, zr, s, u)))
         else:
             fixed.append(u | s << m)
-    # <u, outcome> = sign for each fixed u. In the reduced echelon form every
-    # row has its own pivot coordinate, so setting only the pivot
-    # coordinates to the signs solves all of them.
-    c = 0
-    for row in _echelon(fixed, m + 1):
-        if row >> m:
-            c |= row & -row
-    free = nullspace_ints([row & ((1 << m) - 1) for row in fixed], m)
+    # <u, outcome> = sign for each fixed u: the support is c + span(free).
+    c, free = solve_ints(fixed, m)
     if len(free) > MAX_SUPPORT_BITS:
         raise CapacityError(
             f"{len(free)} free outcome bits exceed the {MAX_SUPPORT_BITS}-bit support limit"

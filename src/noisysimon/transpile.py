@@ -369,30 +369,6 @@ def _interaction_edges(circuit: Circuit) -> FrozenSet[Tuple[str, str]]:
     return frozenset(edges)
 
 
-def _has_distinct_choice(options: List[int]) -> bool:
-    """True iff every bitmask in `options` can contribute a different bit
-    (a matching that covers all of them, grown by augmenting paths)."""
-    owner: Dict[int, int] = {}  # bit -> index of the option holding it
-
-    def augment(i: int) -> bool:
-        nonlocal seen
-        free = options[i] & ~seen
-        while free:
-            bit = free & -free
-            free ^= bit
-            seen |= bit
-            if bit not in owner or augment(owner[bit]):
-                owner[bit] = i
-                return True
-        return False
-
-    for i in range(len(options)):
-        seen = 0
-        if not augment(i):
-            return False
-    return True
-
-
 def _embeddings(
     nodes: List[str],
     edges: FrozenSet[Tuple[str, str]],
@@ -401,14 +377,12 @@ def _embeddings(
     """All injective node->vertex maps sending every edge to a device edge,
     enumerated lexicographically in the fixed node order.
 
-    Matching look-ahead: right after a node is placed, the unplaced nodes
-    with a placed interaction neighbour must be able to take *distinct* free
-    vertices, each adjacent to all its placed neighbours (Hall's condition,
-    checked by augmenting paths), or the branch is dropped. Candidate sets
-    only shrink as nodes are placed, so a dropped branch holds no embedding;
-    candidates are still tried in ascending vertex order, so the embeddings
-    come out in the same order as without the check. Vertex sets are int
-    bitmasks.
+    Forward check: right after a node is placed, every unplaced node with a
+    placed interaction neighbour must keep a free vertex adjacent to all its
+    placed neighbours, or the branch is dropped. Candidate sets only shrink
+    as nodes are placed, so a dropped branch holds no embedding; candidates
+    are still tried in ascending vertex order, so the embeddings come out in
+    the same order as without the check. Vertex sets are int bitmasks.
     """
     adj = [sum(1 << u for u in nbrs) for _, nbrs in sorted(graph.adjacency().items())]
     index = {node: k for k, node in enumerate(nodes)}
@@ -440,7 +414,7 @@ def _embeddings(
             bit = candidates & -candidates
             candidates ^= bit
             place[k] = bit.bit_length() - 1
-            if _has_distinct_choice([free_common(m, used | bit) for m in frontier[k]]):
+            if all(free_common(m, used | bit) for m in frontier[k]):
                 yield from backtrack(k + 1, used | bit)
         place[k] = -1
 

@@ -356,3 +356,21 @@ def test_import_loads_no_scipy_networkx_or_hypothesis():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.split() == []
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    """Underscore names stay inside their module (dunders such as __version__
+    aside); a helper that two modules share is public."""
+    import ast
+
+    package = Path(noisysimon.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "noisysimon"
+            ):
+                found += [f"{path.name}: {node.module}.{alias.name}"
+                          for alias in node.names
+                          if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert found == []

@@ -4,14 +4,14 @@
 with the fault masks propagated as Python ints; the library's table-driven
 sampler must return the same outcomes and leave its generator in the same
 state, also with its draw block shrunk below a row and with every field
-drawn in two halves on two threads. `reference_embeddings`
-is the placement search without look-ahead; the library's search must emit
-the same embeddings in the same order, and
-networkx's VF2 matcher must count as many.
+drawn in two halves on two threads. `reference_embeddings` is the placement
+search without the forward check; the library's search must emit the same
+embeddings in the same order, and networkx's VF2 matcher must count as many.
 `reference_echelon` and `reference_solve_full_rank` are the eliminations with
-a separate back-substitution pass; the library's one-pass Gauss-Jordan forms
-must give the same basis and the same solution, and the nullspace must span
-exactly the brute-force nullspace.
+a separate back-substitution pass; the library's one-pass Gauss-Jordan form
+must give the same basis, `solve_ints` the same solution (and none for an
+inconsistent system), and the nullspace must span exactly the brute-force
+nullspace.
 `reference_exact_distribution` is the complex-amplitude statevector (moved
 axes, complex128 from |0...0>); the real-valued kernels of the statevector
 oracle (`statevector_oracle.py`) must give byte-identical outcome
@@ -53,7 +53,7 @@ from noisysimon.circuits import (
     append_measurement_flips,
     build_simon_circuit,
 )
-from noisysimon.gf2 import BitVec, _echelon, nullspace_ints
+from noisysimon.gf2 import BitVec, _echelon, nullspace_ints, solve_ints
 from noisysimon.noise import NoiseParams, _sample_chunk, _split_field
 from noisysimon.simon import SimonFunction
 from noisysimon.smoothing import permutation_configurations
@@ -61,7 +61,6 @@ from noisysimon.solvers import (
     CostReport,
     QueryLedger,
     _schedule,
-    _solve_full_rank,
     classical_period,
 )
 from noisysimon.statevector import exact_output_distribution, frames_and_support, output_support
@@ -648,7 +647,14 @@ def reference_solve_full_rank(rows, labels, n):
 def test_solve_full_rank_matches_reference(case, label_bits):
     n, rows = case
     labels = [(label_bits >> i) & 1 for i in range(n)]
-    assert _solve_full_rank(rows, labels, n) == reference_solve_full_rank(rows, labels, n)
+    packed = [a | b << n for a, b in zip(rows, labels)]
+    s, null = solve_ints(packed, n)
+    full_rank = s is not None and not null
+    assert (s if full_rank else None) == reference_solve_full_rank(rows, labels, n)
+    # Repeating an equation with the other label, or adding 0 = 1, leaves
+    # no solution.
+    assert solve_ints(packed + [rows[0] | (labels[0] ^ 1) << n], n)[0] is None
+    assert solve_ints(packed + [1 << n], n)[0] is None
 
 
 # ---------------------------------------------------------------------------

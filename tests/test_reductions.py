@@ -170,7 +170,7 @@ def test_batched_transform_matches_scalar_loop(count):
 
 def _gauss_lpn_solver(n, tau, samples, rng):
     """One-shot solver: first n independent rows, solve, no verification."""
-    from noisysimon.solvers import _solve_full_rank
+    from noisysimon.gf2 import solve_ints
 
     rows, labels = [], []
     basis = []
@@ -186,8 +186,8 @@ def _gauss_lpn_solver(n, tau, samples, rng):
             break
     if len(rows) < n:
         return None
-    sv = _solve_full_rank(rows, labels, n)
-    return None if sv is None else BitVec(n, sv)
+    sv, null = solve_ints([a | (b & 1) << n for a, b in zip(rows, labels)], n)
+    return None if sv is None or null else BitVec(n, sv)
 
 
 def test_noiseless_reduction_solves_period():

@@ -9,6 +9,7 @@ from noisysimon.lsn import LsnParams, sample_many
 from noisysimon.reductions import LpnSample, SolveFailure, lsn_sample_to_lpn
 from noisysimon.simon import SimonFunction
 from noisysimon.solvers import (
+    CostReport,
     SamplePool,
     _schedule,
     classical_period,
@@ -137,6 +138,24 @@ def test_pooled_lsn_failure_signal_on_hopeless_pool():
         pooled_lsn(f, pool, np.random.default_rng(6), max_loops=200)
     with pytest.raises(ValueError):
         pooled_lsn(f, SamplePool.from_vectors([BitVec(4, 1)]), np.random.default_rng(6))
+
+
+def test_exact_size_pools_take_their_one_draw_without_the_generator():
+    # A pool of n-1 (pooled_lsn) or n (pooled_gauss_lpn) samples allows one
+    # draw; if it fails, redrawing it forever cannot help.
+    f = SimonFunction.default(4)
+    rng = np.random.default_rng(6)
+    state = rng.bit_generator.state
+    s, cost = pooled_lsn(f, SamplePool.from_ints(4, orthogonal_basis(f.s)), rng)
+    assert s == f.s and cost == CostReport(1, 1)
+    with pytest.raises(SolveFailure, match="allows one draw of 3"):
+        pooled_lsn(f, SamplePool.from_ints(4, [1, 1, 2]), rng, max_loops=1000)
+    exact = [LpnSample(BitVec(4, 1 << j), (f.s.value >> j) & 1) for j in range(4)]
+    s, cost = pooled_gauss_lpn(exact, lambda cand: True, rng)
+    assert s == f.s and cost == CostReport(1, 1)
+    with pytest.raises(SolveFailure, match="allows one draw of 4"):
+        pooled_gauss_lpn(exact[:3] + exact[:1], lambda cand: True, rng, max_loops=1000)
+    assert rng.bit_generator.state == state
 
 
 def test_pooled_lsn_rejects_pool_of_other_dimension():
