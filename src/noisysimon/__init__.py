@@ -14,7 +14,7 @@ from .gf2 import BitVec, DimensionError, orthogonal_basis
 from .simon import SimonFunction, is_simon_function
 from .circuits import Circuit, Gate, build_simon_circuit, append_measurement_flips
 from .statevector import circuits_equivalent, exact_output_distribution
-from .noise import NoiseParams, default_noise, sample_noisy
+from .noise import NoiseParams, default_noise, sample_noisy, sample_noisy_batch
 from .multiset import EmptyMultisetError, MeasurementMultiset, merge_all
 from .transpile import (
     CapacityError,
@@ -34,6 +34,7 @@ from .lsn import LsnParams, estimate_tau, model_distribution, sample, sample_man
 from .smoothing import (
     choose_hamming_vector,
     double_flip,
+    double_flip_each,
     hamming_smooth,
     hamming_vector_candidates,
     permutation_configurations,

@@ -38,6 +38,7 @@ from .simon import SimonFunction
 from .smoothing import (
     choose_hamming_vector,
     double_flip,
+    double_flip_each,
     hamming_smooth,
     permutation_configurations,
     permutation_smooth,
@@ -190,10 +191,8 @@ def _smoothed(args, graph, noise, cfg) -> Dict[str, Callable[[], MeasurementMult
                                   workers=workers)
 
     def permuted_double_flip():
-        return merge_all([
-            double_flip(c, noise, shots, seed=seed + 91 * k, workers=workers)
-            for k, c in enumerate(circuits())
-        ])
+        seeds = [seed + 91 * k for k in range(len(circuits()))]
+        return merge_all(double_flip_each(circuits(), noise, shots, seeds, workers))
 
     return {
         "none": raw,

@@ -89,8 +89,9 @@ class BitVec:
         return self.value.bit_count()
 
 
-def _echelon(values: Sequence[int], n: int) -> List[int]:
-    """Reduced row echelon basis, pivots (lowest set bits) ascending.
+def _echelon(values: Sequence[int], n: int, stop: Optional[int] = None) -> List[int]:
+    """Reduced row echelon basis, pivots (lowest set bits) ascending; with
+    `stop`, that of the first rows of `values` that span `stop` dimensions.
 
     Each row's pivot column is clear in every other row, so reducing a new
     row takes one pass, and the result is the unique reduced basis of the
@@ -98,6 +99,8 @@ def _echelon(values: Sequence[int], n: int) -> List[int]:
     """
     rows = {}  # pivot bit -> row
     for v in values:
+        if len(rows) == stop:
+            break
         for bit, row in rows.items():
             if v & bit:
                 v ^= row
@@ -110,8 +113,10 @@ def _echelon(values: Sequence[int], n: int) -> List[int]:
     return [rows[bit] for bit in sorted(rows)]
 
 
-def rank_ints(values: Sequence[int], n: int) -> int:
-    return len(_echelon(values, n))
+def rank_ints(values: Sequence[int], n: int, stop: Optional[int] = None) -> int:
+    """The rank of the rows, or `stop` if it is at least that: the
+    elimination ends once `stop` independent rows are found."""
+    return len(_echelon(values, n, stop))
 
 
 def _free(basis: Sequence[int], n: int) -> List[int]:

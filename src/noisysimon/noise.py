@@ -40,6 +40,11 @@ same order, so the outcomes and the generator's final state are those of one
 rather than O(shots x gates). A field of SPLIT_FIELD doubles or more is
 drawn in two halves on two threads, the second from a generator advanced
 past the first: the same doubles, and the same final generator state.
+
+Independent calls, such as the smoothing table's, are drawn two at a time
+on the calling thread and one helper (`sample_noisy_batch`). A job's
+generators are seeded from its own seed alone, so it draws the same outcomes
+on either thread. A single 8,192-shot call splits no field and starts no thread.
 """
 
 from __future__ import annotations
@@ -47,9 +52,10 @@ from __future__ import annotations
 import importlib.resources
 import json
 import threading
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -246,6 +252,62 @@ def _sample_chunk(
     return outcomes
 
 
+def _draw(circuit: Circuit, seed, noise: NoiseParams, shots: int, workers: int) -> np.ndarray:
+    """The outcomes `sample_noisy` counts, worker w's share after w - 1's."""
+    frames, support = frames_and_support(circuit)
+    per, extra = divmod(shots, workers)
+    chunks = [_sample_chunk(circuit, noise, per + (w < extra),
+                            np.random.default_rng(seed if seed is None else [int(seed), w]),
+                            frames, support)
+              for w in range(min(workers, shots))]
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+
+def sample_noisy_batch(jobs: Sequence[Tuple[Circuit, object]], noise: NoiseParams, shots: int,
+                       workers: int = 1) -> List[MeasurementMultiset]:
+    """[sample_noisy(circuit, noise, shots, seed, workers) for circuit, seed
+    in jobs], two jobs at a time: one helper thread draws jobs 1, 3, 5, ...,
+    at most two ahead, while the calling thread draws 0, 2, 4, .... The
+    helper only draws outcome arrays; each becomes a multiset on the calling
+    thread as soon as it arrives, in job order. A single job starts no thread."""
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    drawn, ready, room, stop = deque(), threading.Semaphore(0), threading.Semaphore(2), []
+
+    def helper():
+        for job in jobs[1::2]:
+            room.acquire()
+            try:
+                drawn.append(None if stop else _draw(*job, noise, shots, workers))
+            except BaseException as exc:  # re-raised in the calling thread
+                drawn.append(exc)
+            ready.release()
+
+    thread = threading.Thread(target=helper) if len(jobs) > 1 else None
+    if thread:
+        thread.start()
+    out = []
+    try:
+        for i, (circuit, seed) in enumerate(jobs):
+            if i % 2 == 0:
+                outcomes = _draw(circuit, seed, noise, shots, workers)
+            else:
+                ready.acquire()
+                outcomes = drawn.popleft()
+                room.release()
+                if isinstance(outcomes, BaseException):
+                    raise outcomes
+            out.append(MeasurementMultiset.from_outcomes(len(circuit.measured), outcomes))
+    finally:
+        if thread:
+            stop.append(True)  # the helper skips the draws left
+            room.release(len(jobs))
+            thread.join()
+    return out
+
+
 def sample_noisy(
     circuit: Circuit,
     noise: NoiseParams,
@@ -260,19 +322,4 @@ def sample_noisy(
     shots (the first workers get the remainder). workers=1 is the canonical
     stream.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    per = shots // workers
-    extra = shots % workers
-    frames, support = frames_and_support(circuit)
-    outcome_chunks = []
-    for w in range(workers):
-        chunk = per + (1 if w < extra else 0)
-        if chunk == 0:
-            continue
-        rng = np.random.default_rng(seed if seed is None else [int(seed), w])
-        outcome_chunks.append(_sample_chunk(circuit, noise, chunk, rng, frames, support))
-    outcomes = outcome_chunks[0] if len(outcome_chunks) == 1 else np.concatenate(outcome_chunks)
-    return MeasurementMultiset.from_outcomes(len(circuit.measured), outcomes)
+    return sample_noisy_batch([(circuit, seed)], noise, shots, workers)[0]

@@ -22,7 +22,7 @@ import numpy as np
 from .circuits import Circuit, append_measurement_flips
 from .gf2 import BitVec
 from .multiset import MeasurementMultiset, merge_all
-from .noise import NoiseParams, sample_noisy
+from .noise import NoiseParams, sample_noisy_batch
 from .simon import SimonFunction
 from .transpile import (
     Configuration,
@@ -62,14 +62,19 @@ def double_flip(
 ) -> MeasurementMultiset:
     """Pool a plain run of the compiled circuit with a flipped-readout run
     (outcomes re-complemented)."""
-    flipped = append_measurement_flips(circuit)
-    plain = sample_noisy(circuit, noise, shots, seed=seed, workers=workers)
-    ones = (1 << len(circuit.measured)) - 1
-    refl = sample_noisy(
-        flipped, noise, shots, seed=None if seed is None else seed + 1, workers=workers
-    )
-    refl = refl.map_outcomes(lambda o: o ^ ones)
-    return plain.merge(refl)
+    return double_flip_each([circuit], noise, shots, [seed], workers)[0]
+
+
+def double_flip_each(circuits: Sequence[Circuit], noise: NoiseParams, shots: int,
+                     seeds: Sequence, workers: int = 1) -> List[MeasurementMultiset]:
+    """[double_flip(c, noise, shots, seed, workers) for c, seed in zip(circuits,
+    seeds)], the plain and flipped runs of all circuits drawn in one batch."""
+    jobs = []
+    for c, seed in zip(circuits, seeds):
+        jobs += [(c, seed), (append_measurement_flips(c), None if seed is None else seed + 1)]
+    runs = iter(sample_noisy_batch(jobs, noise, shots, workers))  # plain, flipped, plain, ...
+    return [plain.merge(refl.map_outcomes(lambda o, ones=(1 << len(c.measured)) - 1: o ^ ones))
+            for c, plain, refl in zip(circuits, runs, runs)]
 
 
 def permutation_configurations(
@@ -118,14 +123,11 @@ def permutation_smooth(
     would change the error rate they are supposed to preserve.
     """
     _, min_cn = search_min_configuration(f, graph)
-    parts = []
     for k, circ in enumerate(circuits):
         cn = circuit_norm(circ)
         if cn.value != min_cn.value:
             raise ValueError(
                 f"configuration {k} has norm {cn.value}, not the minimum {min_cn.value}"
             )
-        parts.append(sample_noisy(
-            circ, noise, shots_per_config, seed=None if seed is None else seed + k, workers=workers
-        ))
-    return merge_all(parts)
+    jobs = [(c, None if seed is None else seed + k) for k, c in enumerate(circuits)]
+    return merge_all(sample_noisy_batch(jobs, noise, shots_per_config, workers))

@@ -14,7 +14,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gf2 import BitVec, DimensionError, nullspace_ints, parity, solve_ints
+from .gf2 import BitVec, DimensionError, nullspace_ints, parity, rank_ints, solve_ints
 from .multiset import MeasurementMultiset
 from .reductions import LpnSample, SolveFailure
 from .simon import SimonFunction
@@ -69,6 +69,11 @@ class SamplePool:
 
     def __len__(self) -> int:
         return len(self.values)
+
+    @functools.cached_property
+    def capped_rank(self) -> int:
+        """min(rank, n - 1) of the samples, computed on first use."""
+        return rank_ints(self.values, self.n, stop=self.n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +178,18 @@ def pooled_lsn(
 
     n-1 rows have rank n-1 exactly when their nullspace is one-dimensional,
     so one elimination serves as both the rank test and the solve. A pool of
-    exactly n-1 samples (or n = 1) allows one draw, taken without the
-    generator; SolveFailure follows at once if it fails."""
+    rank below n-1 has no such draw, and SolveFailure follows before any
+    draw. A pool of exactly n-1 samples (or n = 1) allows one draw, taken
+    without the generator; SolveFailure follows at once if it fails."""
     vals = pool.values
     n = f.n
     if pool.n != n:
         raise DimensionError(f"pool of n={pool.n} for a function of n={n}")
     if len(vals) < n - 1:
         raise ValueError(f"pool of {len(vals)} cannot contain {n - 1} independent samples")
+    if pool.capped_rank < n - 1:
+        raise SolveFailure(
+            f"the pool has rank {pool.capped_rank} < {n - 1}: no draw of {n - 1} is independent")
     one_draw = len(vals) == n - 1 or n == 1
     loops = 0
     queries = 0

@@ -2,10 +2,11 @@
 removed or renamed name fails the tests rather than the benchmark run."""
 
 import ast
+import threading
 from pathlib import Path
 
 import noisysimon
-from noisysimon import cli
+from noisysimon import cli, smoothing
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -32,3 +33,29 @@ def test_bench_tracer_installs_and_workloads_names_exist(monkeypatch):
         assert names, module
         missing = sorted(name for name in names if not hasattr(owner, name))
         assert not missing, f"bench/workloads.py reads {module}.{missing}, which do not exist"
+
+
+def test_batched_draws_enter_traced_functions_on_the_calling_thread_only(
+        monkeypatch, compiled, noise):
+    """`spans.Tracer` keeps one span stack for all threads, so the helper
+    thread of `sample_noisy_batch` may enter none of the traced functions."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    threads = []
+
+    class ThreadRecording(spans.Tracer):
+        def _open(self, name_id, tag_id):
+            threads.append(threading.current_thread())
+            return super()._open(name_id, tag_id)
+
+    tracer = ThreadRecording()
+    circuits = [compiled[n][3] for n in (3, 4, 4)]
+    tracer.install()
+    try:
+        tracer.root(lambda: smoothing.double_flip_each(circuits, noise, 512, [1, 2, 3]))
+    finally:
+        tracer.uninstall()
+    # the root, and 3 append_measurement_flips, 6 from_outcomes and 3 merge spans
+    assert len(threads) == 13
+    assert set(threads) == {threading.current_thread()}

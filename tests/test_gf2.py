@@ -55,6 +55,18 @@ def test_rank_and_span_examples():
     assert rank_ints(ints("100", "010"), 3) > rank_ints(ints("100"), 3)
 
 
+def test_rank_with_stop_is_capped_and_reads_only_what_it_needs():
+    rows = ints("100", "100", "010", "001")
+    assert [rank_ints(rows, 3, stop) for stop in range(5)] == [0, 1, 2, 3, 3]
+    assert rank_ints(ints("100", "100"), 3, stop=2) == 1
+
+    def prefix_then_fail():
+        yield from ints("100", "110", "001")  # the elimination ends on reading 001
+        raise AssertionError("read two rows past the second independent row")
+
+    assert rank_ints(prefix_then_fail(), 3, stop=2) == 2
+
+
 def test_orthogonal_basis_examples():
     basis = orthogonal_basis(bv("011"))
     span = set()

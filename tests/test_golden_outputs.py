@@ -8,6 +8,10 @@ emits minimum-norm configurations. They were computed with the per-event
 sampler loop and the unpruned backtracking search, so a faster
 implementation passes only if it is output-identical to those.
 
+The smoothing-table digests pin every file of a small `smooth --technique
+all` run. They were computed with one `sample_noisy` call per draw, before
+independent draws were batched two at a time.
+
 The solver digests pin `(period, loop_count, queries)` of every call and the
 state each generator is left in. They were computed with the per-distance
 `classical_period` and with a `pooled_lsn` that ran a separate rank test
@@ -21,7 +25,7 @@ import json
 import numpy as np
 import pytest
 
-from noisysimon.cli import FIG9_TAUS
+from noisysimon.cli import FIG9_TAUS, main
 from noisysimon.gf2 import BitVec
 from noisysimon.lsn import LsnParams, sample_many
 from noisysimon.noise import _sample_chunk, sample_noisy
@@ -221,3 +225,23 @@ def test_pooled_lsn_golden(n, from_vectors):
 @pytest.mark.parametrize("n", range(2, 8))
 def test_pooled_gauss_golden(n):
     assert pooled_gauss_digest(n) == GOLDEN_POOLED_GAUSS[n]
+
+
+SMOOTH_ARGS = ["smooth", "--technique", "all", "--n", "5", "--shots", "2048", "--configs", "8"]
+GOLDEN_SMOOTH_TABLE = {
+    "quality_n5.csv": "29f1fe3d057c78ce5639106762acfec181b89cdcf3187ab28c0c7ceb04111109",
+    "smooth_double-flip_n5.csv": "0451eb2b105d3941568332e6e431e9b274bdc9cf15de51869c1ce00167aa0a68",
+    "smooth_hamming_n5.csv": "13926d5b96f6ccd09f6e728041d4ce2234a43e0539d3b41eadb002790440dafb",
+    "smooth_none_n5.csv": "b83f84654248c1f9e1b4c1c98896e157688cd7028cdd234c8829ac31a27c292d",
+    "smooth_permutation-double-flip_n5.csv":
+        "f84e740caa948d829d9d1de78f059bf9ec9f22af7916bcfe910a2d68d6f1c7ee",
+    "smooth_permutation-hamming_n5.csv":
+        "e89bceb90de93f8a7fb92f8f3af8457f01e3f6d79ca0a11275ad74e192fb9a9a",
+    "smooth_permutation_n5.csv": "55f21023fc0d9dd20c5504738dffcc0a4ec3a786f29995cb4ec29423a3046c4f",
+}
+
+
+def test_smooth_table_golden(tmp_path, capsys):
+    assert main(["--out-dir", str(tmp_path)] + SMOOTH_ARGS) == 0
+    got = {p.name: _sha(p.read_bytes()) for p in tmp_path.iterdir()}
+    assert got == GOLDEN_SMOOTH_TABLE

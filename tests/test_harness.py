@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import noisysimon
 from noisysimon import cli, smoothing, transpile
+from noisysimon import noise as noise_module
 from noisysimon.circuits import build_simon_circuit
 from noisysimon.cli import TECHNIQUES, main
 from noisysimon.multiset import MeasurementMultiset
@@ -138,15 +140,17 @@ def test_smooth_all_matches_single_technique_runs(tmp_path):
 
 def test_smooth_all_samples_each_base_multiset_once(tmp_path, monkeypatch):
     calls = {"sample": 0, "compile": 0, "search": 0}
+    lock = threading.Lock()  # sampler draws also run on the batch's helper thread
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
-            calls[key] += 1
+            with lock:
+                calls[key] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    for module in (cli, smoothing):
-        monkeypatch.setattr(module, "sample_noisy", counted("sample", module.sample_noisy))
+    # every draw, whether through sample_noisy or a batch, is one _draw call
+    monkeypatch.setattr(noise_module, "_draw", counted("sample", noise_module._draw))
     # smoothing takes compiled circuits, so only the CLI compiles
     assert not hasattr(smoothing, "compile_simon_circuit")
     monkeypatch.setattr(cli, "compile_simon_circuit", counted("compile", cli.compile_simon_circuit))

@@ -1,16 +1,27 @@
+import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from noisysimon import noise as noise_module
 from noisysimon import statevector
-from noisysimon.circuits import CNOT, Circuit, Gate, H, X, build_simon_circuit
+from noisysimon.circuits import (
+    CNOT,
+    Circuit,
+    Gate,
+    H,
+    X,
+    append_measurement_flips,
+    build_simon_circuit,
+)
 from noisysimon.gf2 import BitVec
 from noisysimon.lsn import estimate_tau
 from noisysimon.multiset import MeasurementMultiset
-from noisysimon.noise import NoiseParams, sample_noisy
+from noisysimon.noise import NoiseParams, sample_noisy, sample_noisy_batch
 from noisysimon.simon import SimonFunction
 from noisysimon import CapacityError
 from noisysimon.statevector import (
@@ -195,9 +206,10 @@ def test_sampler_memory_does_not_grow_with_shots_times_gates(compiled, noise):
 
 
 def test_large_fields_split_and_small_calls_stay_on_one_thread(compiled, noise, monkeypatch):
-    """An n=7 call of 2^18 shots draws its fields on helper threads; an
-    8,192-shot call (smooth-table's size; its largest field holds 8,192 x 18
-    doubles) starts none."""
+    """An n=7 call of 2^18 shots draws its fields on helper threads; a single
+    8,192-shot call (its largest field holds 8,192 x 18 doubles) starts none.
+    The smoothing table's 8,192-shot calls are drawn two at a time by
+    `sample_noisy_batch`, which is tested on its own."""
     started = []
 
     class Counting(threading.Thread):
@@ -231,6 +243,110 @@ def test_split_field_joins_its_helper_and_reraises(monkeypatch):
         with pytest.raises(RuntimeError, match="row"):
             noise_module._split_field(rng, 9, 3, buf, fail_from(row))
         assert threading.active_count() == before
+
+
+# (n, flipped) of the property test's circuits: compiled, or with an X
+# appended to every measured wire; widths 4 to 14
+BATCH_CIRCUITS = [(n, flipped) for n in (2, 3, 5, 7) for flipped in (False, True)]
+
+
+def _batch_circuit(compiled, n, flipped):
+    circ = compiled[n][3]
+    return append_measurement_flips(circ) if flipped else circ
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    jobs=st.lists(st.tuples(st.sampled_from(BATCH_CIRCUITS), st.integers(0, 2**32)),
+                  min_size=1, max_size=5),
+    shots=st.sampled_from([1, 3, 7, 129, 8192]),
+    workers=st.integers(1, 3),
+    ideal=st.booleans(),
+)
+@example(jobs=[((7, False), 1)], shots=8192, workers=1, ideal=False)
+@example(jobs=[((7, False), 1), ((7, True), 2), ((5, False), 3)], shots=8192, workers=1,
+         ideal=False)
+@example(jobs=[((2, True), 5), ((7, False), 5), ((3, False), 6), ((3, True), 0)], shots=1,
+         workers=3, ideal=True)
+def test_batch_draws_what_each_call_draws(compiled, noise, jobs, shots, workers, ideal):
+    model = NoiseParams.ideal() if ideal else noise
+    jobs = [(_batch_circuit(compiled, *key), seed) for key, seed in jobs]
+    expected = [sample_noisy(c, model, shots, seed=seed, workers=workers) for c, seed in jobs]
+    assert sample_noisy_batch(jobs, model, shots, workers) == expected
+
+
+def test_batch_starts_one_helper_and_a_single_job_none(compiled, noise, monkeypatch):
+    started = []
+
+    class Counting(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counting)
+    circ = compiled[5][3]
+    sample_noisy_batch([(circ, 1)], noise, 64)
+    assert started == []
+    sample_noisy_batch([(circ, k) for k in range(5)], noise, 64)
+    assert len(started) == 1
+
+
+@pytest.mark.parametrize("bad", range(4))  # jobs 0 and 2 run on the calling thread
+def test_batch_reraises_a_jobs_error_and_joins_its_helper(compiled, noise, monkeypatch, bad):
+    wires = MAX_SUPPORT_BITS + 1
+    wide = Circuit(wires, tuple(Gate(H, q) for q in range(wires)), tuple(range(wires)))
+    jobs = [(compiled[3][3], k) for k in range(4)]
+    before = threading.active_count()
+    with pytest.raises(CapacityError, match="support limit"):
+        sample_noisy_batch(jobs[:bad] + [(wide, 0)] + jobs[bad + 1:], noise, 64)
+    assert threading.active_count() == before
+
+    error, draw = RuntimeError("job failed"), noise_module._draw
+
+    def failing(circuit, seed, *args):
+        if seed == bad:
+            raise error
+        return draw(circuit, seed, *args)
+
+    monkeypatch.setattr(noise_module, "_draw", failing)
+    with pytest.raises(RuntimeError) as raised:
+        sample_noisy_batch(jobs, noise, 64)
+    assert raised.value is error
+    assert threading.active_count() == before
+
+
+def test_concurrent_batches_under_fast_thread_switching(compiled, noise):
+    """Three threads run batches at once (six threads on two cores) with a
+    1 us switch interval; every batch equals its jobs drawn one by one."""
+    jobs = [(compiled[n][3], 10 * n + k) for n in (2, 3, 4) for k in range(3)]
+    expected = [sample_noisy(c, noise, 17, seed=seed) for c, seed in jobs]
+    results, interval = [], sys.getswitchinterval()
+
+    def run():
+        for _ in range(5):
+            results.append(sample_noisy_batch(jobs, noise, 17) == expected)
+
+    threads = [threading.Thread(target=run) for _ in range(3)]
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [True] * 15
+
+
+def test_batch_checks_shots_and_workers_before_any_draw(compiled, noise):
+    jobs = [(compiled[3][3], k) for k in range(4)]
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="shots must be >= 1"):
+        sample_noisy_batch(jobs, noise, 0)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        sample_noisy_batch(jobs, noise, 8, workers=0)
+    assert threading.active_count() == before
 
 
 def test_readout_bias_lowers_mean_weight(compiled):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from noisysimon import solvers
 from noisysimon.gf2 import BitVec, DimensionError, orthogonal_basis
 from noisysimon.lsn import LsnParams, sample_many
 from noisysimon.reductions import LpnSample, SolveFailure, lsn_sample_to_lpn
@@ -134,10 +135,29 @@ def test_pooled_lsn_recovers_period_randomized():
 def test_pooled_lsn_failure_signal_on_hopeless_pool():
     f = SimonFunction.default(4)
     pool = SamplePool.from_vectors([BitVec(4, 0b0001)] * 10)  # rank one forever
-    with pytest.raises(SolveFailure):
-        pooled_lsn(f, pool, np.random.default_rng(6), max_loops=200)
+    rng = np.random.default_rng(6)
+    state = rng.bit_generator.state
+    with pytest.raises(SolveFailure, match="rank 1 < 3"):
+        pooled_lsn(f, pool, rng)  # at once, not after max_loops draws
+    assert rng.bit_generator.state == state
     with pytest.raises(ValueError):
         pooled_lsn(f, SamplePool.from_vectors([BitVec(4, 1)]), np.random.default_rng(6))
+
+
+def test_pool_rank_is_capped_and_computed_once(monkeypatch):
+    calls, rank_ints = [], solvers.rank_ints
+
+    def counted(values, n, stop=None):
+        calls.append(stop)
+        return rank_ints(values, n, stop)
+
+    monkeypatch.setattr(solvers, "rank_ints", counted)
+    pool = SamplePool.from_ints(4, [1, 2, 4, 8, 3])
+    for _ in range(3):
+        pooled_lsn(SimonFunction.default(4), pool, np.random.default_rng(1))
+    assert calls == [3]
+    assert SamplePool.from_ints(4, [1, 2, 4, 8]).capped_rank == 3
+    assert SamplePool.from_ints(4, [3, 3, 5, 6]).capped_rank == 2
 
 
 def test_exact_size_pools_take_their_one_draw_without_the_generator():
@@ -148,7 +168,10 @@ def test_exact_size_pools_take_their_one_draw_without_the_generator():
     state = rng.bit_generator.state
     s, cost = pooled_lsn(f, SamplePool.from_ints(4, orthogonal_basis(f.s)), rng)
     assert s == f.s and cost == CostReport(1, 1)
+    # full rank, but the one draw's nullspace is 1000, not the period 0011
     with pytest.raises(SolveFailure, match="allows one draw of 3"):
+        pooled_lsn(f, SamplePool.from_ints(4, [1, 2, 4]), rng, max_loops=1000)
+    with pytest.raises(SolveFailure, match="rank 2 < 3"):
         pooled_lsn(f, SamplePool.from_ints(4, [1, 1, 2]), rng, max_loops=1000)
     exact = [LpnSample(BitVec(4, 1 << j), (f.s.value >> j) & 1) for j in range(4)]
     s, cost = pooled_gauss_lpn(exact, lambda cand: True, rng)
