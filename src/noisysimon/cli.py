@@ -78,7 +78,10 @@ def _config_hash(options: dict) -> str:
 
 
 def _header(args, extra: Optional[dict] = None) -> dict:
-    opts = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out_dir")}
+    opts = {k: v for k, v in vars(args).items() if k not in ("func", "out_dir")}
+    # The sampler's one stream layout, once a --workers option; hashing it
+    # keeps every config hash that earlier runs wrote.
+    opts["workers"] = 1
     header = {
         "seed": args.seed,
         "version": __version__,
@@ -141,7 +144,7 @@ def _measure_multiset(args, graph, noise, n: int) -> MeasurementMultiset:
     else:
         cfg, _ = search_min_configuration(f, graph)
     circ = compile_simon_circuit(f, graph, cfg)
-    return sample_noisy(circ, noise, args.shots, seed=args.seed, workers=args.workers)
+    return sample_noisy(circ, noise, args.shots, seed=args.seed)
 
 
 def cmd_measure(args) -> int:
@@ -166,7 +169,7 @@ def _smoothed(args, graph, noise, cfg) -> Dict[str, Callable[[], MeasurementMult
     """
     f = SimonFunction.default(args.n)
     v = choose_hamming_vector(f.s)
-    seed, shots, workers = args.seed, args.shots, args.workers
+    seed, shots = args.seed, args.shots
 
     @functools.cache
     def configs():
@@ -183,21 +186,20 @@ def _smoothed(args, graph, noise, cfg) -> Dict[str, Callable[[], MeasurementMult
 
     @functools.cache
     def raw():
-        return sample_noisy(circuit(), noise, shots, seed=seed, workers=workers)
+        return sample_noisy(circuit(), noise, shots, seed=seed)
 
     @functools.cache
     def permuted():
-        return permutation_smooth(f, graph, circuits(), shots, noise, seed=seed,
-                                  workers=workers)
+        return permutation_smooth(f, graph, circuits(), shots, noise, seed=seed)
 
     def permuted_double_flip():
         seeds = [seed + 91 * k for k in range(len(circuits()))]
-        return merge_all(double_flip_each(circuits(), noise, shots, seeds, workers))
+        return merge_all(double_flip_each(circuits(), noise, shots, seeds))
 
     return {
         "none": raw,
         "permutation": permuted,
-        "double-flip": lambda: double_flip(circuit(), noise, shots, seed=seed, workers=workers),
+        "double-flip": lambda: double_flip(circuit(), noise, shots, seed=seed),
         "permutation/double-flip": permuted_double_flip,
         "hamming": lambda: hamming_smooth(raw(), v),
         "permutation/hamming": lambda: hamming_smooth(permuted(), v),
@@ -282,6 +284,8 @@ def cmd_crossover(args) -> int:
 
 
 def cmd_reduction_check(args) -> int:
+    if args.n < 1:
+        raise ValueError("--n must be >= 1")
     out = _out_dir(args)
     rows = []
     s = BitVec(args.n, 0b11) if args.n >= 2 else BitVec(1, 1)
@@ -361,9 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=20260808)
     parser.add_argument("--out-dir", default="out")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="split each sampling RNG stream into this many chunks seeded (seed, "
-                        "chunk), which changes the samples, unlike the sampler's two-thread draws")
     parser.add_argument("--topology", default=None, help="topology JSON (default: bundled device)")
     parser.add_argument("--noise", default=None, help="noise JSON (default: bundled calibration)")
     sub = parser.add_subparsers(dest="command", required=True)

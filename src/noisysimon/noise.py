@@ -110,11 +110,15 @@ class NoiseParams:
         defaults to ten times eps1."""
         try:
             eps1 = d.get("eps1", 0.0)
+            readout = tuple(map(tuple, d.get("readout", [])))
+            for pair in readout:
+                if len(pair) != 2:
+                    raise ValueError(f"malformed readout entry {list(pair)}: not a (p01, p10) pair")
             return cls(
                 eps1=eps1,
                 eps2=d.get("eps2", 10.0 * eps1),
                 crosstalk=d.get("crosstalk", 0.0),
-                readout=tuple((p01, p10) for p01, p10 in d.get("readout", [])),
+                readout=readout,
                 default_p01=d.get("default_p01", 0.0),
                 default_p10=d.get("default_p10", 0.0),
             )
@@ -252,35 +256,29 @@ def _sample_chunk(
     return outcomes
 
 
-def _draw(circuit: Circuit, seed, noise: NoiseParams, shots: int, workers: int) -> np.ndarray:
-    """The outcomes `sample_noisy` counts, worker w's share after w - 1's."""
-    frames, support = frames_and_support(circuit)
-    per, extra = divmod(shots, workers)
-    chunks = [_sample_chunk(circuit, noise, per + (w < extra),
-                            np.random.default_rng(seed if seed is None else [int(seed), w]),
-                            frames, support)
-              for w in range(min(workers, shots))]
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+def _draw(circuit: Circuit, seed, noise: NoiseParams, shots: int) -> np.ndarray:
+    """The outcomes `sample_noisy` counts, drawn from one generator seeded by
+    (seed, 0)."""
+    rng = np.random.default_rng(seed if seed is None else [int(seed), 0])
+    return _sample_chunk(circuit, noise, shots, rng, *frames_and_support(circuit))
 
 
-def sample_noisy_batch(jobs: Sequence[Tuple[Circuit, object]], noise: NoiseParams, shots: int,
-                       workers: int = 1) -> List[MeasurementMultiset]:
-    """[sample_noisy(circuit, noise, shots, seed, workers) for circuit, seed
-    in jobs], two jobs at a time: one helper thread draws jobs 1, 3, 5, ...,
-    at most two ahead, while the calling thread draws 0, 2, 4, .... The
-    helper only draws outcome arrays; each becomes a multiset on the calling
-    thread as soon as it arrives, in job order. A single job starts no thread."""
+def sample_noisy_batch(jobs: Sequence[Tuple[Circuit, object]], noise: NoiseParams,
+                       shots: int) -> List[MeasurementMultiset]:
+    """[sample_noisy(circuit, noise, shots, seed) for circuit, seed in jobs],
+    two jobs at a time: one helper thread draws jobs 1, 3, 5, ..., at most
+    two ahead, while the calling thread draws 0, 2, 4, .... The helper only
+    draws outcome arrays; each becomes a multiset on the calling thread as
+    soon as it arrives, in job order. A single job starts no thread."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     drawn, ready, room, stop = deque(), threading.Semaphore(0), threading.Semaphore(2), []
 
     def helper():
         for job in jobs[1::2]:
             room.acquire()
             try:
-                drawn.append(None if stop else _draw(*job, noise, shots, workers))
+                drawn.append(None if stop else _draw(*job, noise, shots))
             except BaseException as exc:  # re-raised in the calling thread
                 drawn.append(exc)
             ready.release()
@@ -292,7 +290,7 @@ def sample_noisy_batch(jobs: Sequence[Tuple[Circuit, object]], noise: NoiseParam
     try:
         for i, (circuit, seed) in enumerate(jobs):
             if i % 2 == 0:
-                outcomes = _draw(circuit, seed, noise, shots, workers)
+                outcomes = _draw(circuit, seed, noise, shots)
             else:
                 ready.acquire()
                 outcomes = drawn.popleft()
@@ -308,18 +306,8 @@ def sample_noisy_batch(jobs: Sequence[Tuple[Circuit, object]], noise: NoiseParam
     return out
 
 
-def sample_noisy(
-    circuit: Circuit,
-    noise: NoiseParams,
-    shots: int,
-    seed=None,
-    workers: int = 1,
-) -> MeasurementMultiset:
-    """Monte-Carlo sampling of the circuit under the synthetic noise model.
-
-    Deterministic for a fixed (seed, workers): worker w draws from an
-    independent stream seeded by (seed, w) and takes an equal share of the
-    shots (the first workers get the remainder). workers=1 is the canonical
-    stream.
-    """
-    return sample_noisy_batch([(circuit, seed)], noise, shots, workers)[0]
+def sample_noisy(circuit: Circuit, noise: NoiseParams, shots: int,
+                 seed=None) -> MeasurementMultiset:
+    """Monte-Carlo sampling of the circuit under the synthetic noise model,
+    deterministic for a fixed seed."""
+    return sample_noisy_batch([(circuit, seed)], noise, shots)[0]

@@ -58,21 +58,20 @@ def double_flip(
     noise: NoiseParams,
     shots: int,
     seed=None,
-    workers: int = 1,
 ) -> MeasurementMultiset:
     """Pool a plain run of the compiled circuit with a flipped-readout run
     (outcomes re-complemented)."""
-    return double_flip_each([circuit], noise, shots, [seed], workers)[0]
+    return double_flip_each([circuit], noise, shots, [seed])[0]
 
 
 def double_flip_each(circuits: Sequence[Circuit], noise: NoiseParams, shots: int,
-                     seeds: Sequence, workers: int = 1) -> List[MeasurementMultiset]:
-    """[double_flip(c, noise, shots, seed, workers) for c, seed in zip(circuits,
-    seeds)], the plain and flipped runs of all circuits drawn in one batch."""
+                     seeds: Sequence) -> List[MeasurementMultiset]:
+    """[double_flip(c, noise, shots, seed) for c, seed in zip(circuits, seeds)],
+    the plain and flipped runs of all circuits drawn in one batch."""
     jobs = []
     for c, seed in zip(circuits, seeds):
         jobs += [(c, seed), (append_measurement_flips(c), None if seed is None else seed + 1)]
-    runs = iter(sample_noisy_batch(jobs, noise, shots, workers))  # plain, flipped, plain, ...
+    runs = iter(sample_noisy_batch(jobs, noise, shots))  # plain, flipped, plain, ...
     return [plain.merge(refl.map_outcomes(lambda o, ones=(1 << len(c.measured)) - 1: o ^ ones))
             for c, plain, refl in zip(circuits, runs, runs)]
 
@@ -115,7 +114,6 @@ def permutation_smooth(
     shots_per_config: int,
     noise: NoiseParams,
     seed=None,
-    workers: int = 1,
 ) -> MeasurementMultiset:
     """Run every compiled configuration and pool the (logically ordered) outcomes.
 
@@ -130,4 +128,4 @@ def permutation_smooth(
                 f"configuration {k} has norm {cn.value}, not the minimum {min_cn.value}"
             )
     jobs = [(c, None if seed is None else seed + k) for k, c in enumerate(circuits)]
-    return merge_all(sample_noisy_batch(jobs, noise, shots_per_config, workers))
+    return merge_all(sample_noisy_batch(jobs, noise, shots_per_config))

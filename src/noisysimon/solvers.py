@@ -215,7 +215,8 @@ def pooled_gauss_lpn(
     """Repeatedly draw n distinct parity samples, solve the linear system,
     and return the first candidate the verifier accepts. A pool of exactly n
     samples allows one draw, taken without the generator; SolveFailure
-    follows at once if it fails."""
+    follows at once if it fails. A larger pool whose a-parts have rank below
+    n has no solvable draw, and SolveFailure follows before any draw."""
     if not isinstance(pool, (list, tuple)):
         pool = list(pool)
     if not pool:
@@ -224,6 +225,11 @@ def pooled_gauss_lpn(
     if len(pool) < n:
         raise ValueError(f"pool of {len(pool)} cannot determine {n} unknowns")
     one_draw = len(pool) == n
+    if not one_draw:
+        rank = rank_ints((smp.a.value for smp in pool), n, stop=n)
+        if rank < n:
+            raise SolveFailure(
+                f"the pool's a-parts have rank {rank} < {n}: no draw of {n} is solvable")
     loops = 0
     while loops < max_loops:
         loops += 1

@@ -68,6 +68,10 @@ class TopologyGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "TopologyGraph":
+        edges = [tuple(e) for e in edges]
+        for e in edges:
+            if len(e) != 2:
+                raise ValueError(f"malformed edge {list(e)}: not a pair (u, v)")
         return cls(n, frozenset((min(u, v), max(u, v)) for u, v in edges))
 
     @classmethod

@@ -190,16 +190,13 @@ def test_smooth_all_optimizes_only_the_logical_circuit(tmp_path, monkeypatch):
     assert calls == [build_simon_circuit(SimonFunction.default(7))]
 
 
-def test_smooth_honours_workers_in_every_row(tmp_path):
-    for workers in (1, 2):
-        assert main(["--out-dir", str(tmp_path / f"w{workers}"), "--workers", str(workers),
-                     "smooth", "--n", "3", "--shots", "512", "--configs", "4"]) == 0
-    for tech in TECHNIQUES:
-        slug = tech.replace("/", "-")
-        one, two = (MeasurementMultiset.from_csv(tmp_path / w / f"smooth_{slug}_n3.csv")
-                    for w in ("w1", "w2"))
-        assert one.total == two.total
-        assert one.counts != two.counts, tech
+def test_workers_option_is_rejected(tmp_path, capsys):
+    """The sampler has one stream per seed, so there is no stream layout to pick."""
+    with pytest.raises(SystemExit) as info:
+        main(["--out-dir", str(tmp_path), "--workers=2", "measure", "--n", "2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --workers=2" in capsys.readouterr().err
+    assert not (tmp_path / "measure_n2.csv").exists()
 
 
 def test_stats_command(tmp_path):
@@ -277,6 +274,12 @@ def test_bad_input_gives_one_line_error(tmp_path, capsys):
     self_loop.write_text(json.dumps({"vertices": 4, "edges": [[0, 1], [2, 2]]}))
     outside = tmp_path / "outside.json"
     outside.write_text(json.dumps({"vertices": 4, "edges": [[0, 1], [0, 5]]}))
+    short_readout = tmp_path / "short_readout.json"
+    short_readout.write_text(json.dumps({"eps1": 0.001, "readout": [[0.1]]}))
+    short_edge = tmp_path / "short_edge.json"
+    short_edge.write_text(json.dumps({"vertices": 4, "edges": [[0, 1], [0]]}))
+    long_edge = tmp_path / "long_edge.json"
+    long_edge.write_text(json.dumps({"vertices": 4, "edges": [[0, 1, 2]]}))
     multiset = tmp_path / "m.csv"
     MeasurementMultiset(3, {o: 90 if o in (0, 3, 4, 7) else 10 for o in range(8)}).to_csv(multiset)
     cases = [
@@ -310,6 +313,12 @@ def test_bad_input_gives_one_line_error(tmp_path, capsys):
         (["crossover", "--pool-size", "5"], "--pool-size must be >= 6 for crossover"),
         (["stats", "--multiset", str(multiset), "--label", "a,b"], "holds a comma"),
         (["stats", "--multiset", str(multiset), "--label", "a\nb"], "has a line break"),
+        (["--noise", str(short_readout), "measure", "--n", "2"],
+         "malformed readout entry [0.1]: not a (p01, p10) pair"),
+        (["--topology", str(short_edge), "measure", "--n", "2"], "malformed edge [0]"),
+        (["--topology", str(long_edge), "measure", "--n", "2"], "malformed edge [0, 1, 2]"),
+        (["reduction-check", "--n", "0"], "--n must be >= 1"),
+        (["reduction-check", "--n", "-3"], "--n must be >= 1"),
     ]
     for argv, message in cases:
         assert main(["--out-dir", str(tmp_path)] + argv) == 2

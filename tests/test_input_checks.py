@@ -4,11 +4,9 @@ input raises its own one-line error, before any work is done."""
 import numpy as np
 import pytest
 
-from noisysimon.circuits import build_simon_circuit
 from noisysimon.gf2 import BitVec, DimensionError
 from noisysimon.lsn import LsnParams
 from noisysimon.multiset import MeasurementMultiset
-from noisysimon.noise import default_noise, sample_noisy
 from noisysimon.reductions import LpnSample, chi_square_check, lpn_sample_to_lsn, lsn_sample_to_lpn
 from noisysimon.simon import SimonFunction
 from noisysimon.smoothing import hamming_smooth
@@ -18,7 +16,6 @@ from noisysimon.stats import chi_square_gof, kl_divergence, kolmogorov_distance
 rng = np.random.default_rng(0)
 half, quarter = np.full(2, 0.5), np.full(4, 0.25)
 lpn = LpnSample(BitVec(3, 1), 0)
-simon2 = build_simon_circuit(SimonFunction.default(2))
 
 
 @pytest.mark.parametrize("make, error, message", [
@@ -50,16 +47,9 @@ simon2 = build_simon_circuit(SimonFunction.default(2))
      "pool of 2 cannot determine 3 unknowns"),
     (lambda: hamming_smooth(MeasurementMultiset(3, {1: 1}), BitVec(2, 1)), ValueError,
      "shift length 2 != outcome length 3"),
-    (lambda: sample_noisy(simon2, default_noise(), 10, seed=1, workers=0), ValueError,
-     "workers must be >= 1"),
 ])
 def test_bad_input_raises_its_own_error(make, error, message):
     with pytest.raises(error, match=message) as info:
         make()
     assert "\n" not in str(info.value)
 
-
-def test_more_workers_than_shots_skips_the_empty_chunks():
-    m = sample_noisy(simon2, default_noise(), 3, seed=1, workers=5)
-    assert m.total == 3
-    assert m == sample_noisy(simon2, default_noise(), 3, seed=1, workers=3)

@@ -169,10 +169,7 @@ def test_sampling_deterministic_and_worker_split(compiled):
     a = sample_noisy(circ, noise, 4096, seed=99)
     b = sample_noisy(circ, noise, 4096, seed=99)
     assert a.counts == b.counts
-    c = sample_noisy(circ, noise, 4096, seed=99, workers=3)
-    d = sample_noisy(circ, noise, 4096, seed=99, workers=3)
-    assert c.counts == d.counts
-    assert c.total == 4096
+    assert a.total == 4096
 
 
 def test_one_pauli_walk_per_sample_call(compiled, noise, monkeypatch):
@@ -186,7 +183,7 @@ def test_one_pauli_walk_per_sample_call(compiled, noise, monkeypatch):
     monkeypatch.setattr(statevector, "pauli_frames", counting)
     monkeypatch.setattr(noise_module, "pauli_frames", counting, raising=False)
     _, _, _, circ = compiled[4]
-    assert sample_noisy(circ, noise, 4096, seed=99, workers=3).total == 4096
+    assert sample_noisy(circ, noise, 4096, seed=99).total == 4096
     assert walks == [circ]
 
 
@@ -260,19 +257,17 @@ def _batch_circuit(compiled, n, flipped):
     jobs=st.lists(st.tuples(st.sampled_from(BATCH_CIRCUITS), st.integers(0, 2**32)),
                   min_size=1, max_size=5),
     shots=st.sampled_from([1, 3, 7, 129, 8192]),
-    workers=st.integers(1, 3),
     ideal=st.booleans(),
 )
-@example(jobs=[((7, False), 1)], shots=8192, workers=1, ideal=False)
-@example(jobs=[((7, False), 1), ((7, True), 2), ((5, False), 3)], shots=8192, workers=1,
-         ideal=False)
+@example(jobs=[((7, False), 1)], shots=8192, ideal=False)
+@example(jobs=[((7, False), 1), ((7, True), 2), ((5, False), 3)], shots=8192, ideal=False)
 @example(jobs=[((2, True), 5), ((7, False), 5), ((3, False), 6), ((3, True), 0)], shots=1,
-         workers=3, ideal=True)
-def test_batch_draws_what_each_call_draws(compiled, noise, jobs, shots, workers, ideal):
+         ideal=True)
+def test_batch_draws_what_each_call_draws(compiled, noise, jobs, shots, ideal):
     model = NoiseParams.ideal() if ideal else noise
     jobs = [(_batch_circuit(compiled, *key), seed) for key, seed in jobs]
-    expected = [sample_noisy(c, model, shots, seed=seed, workers=workers) for c, seed in jobs]
-    assert sample_noisy_batch(jobs, model, shots, workers) == expected
+    expected = [sample_noisy(c, model, shots, seed=seed) for c, seed in jobs]
+    assert sample_noisy_batch(jobs, model, shots) == expected
 
 
 def test_batch_starts_one_helper_and_a_single_job_none(compiled, noise, monkeypatch):
@@ -339,13 +334,11 @@ def test_concurrent_batches_under_fast_thread_switching(compiled, noise):
     assert results == [True] * 15
 
 
-def test_batch_checks_shots_and_workers_before_any_draw(compiled, noise):
+def test_batch_checks_shots_before_any_draw(compiled, noise):
     jobs = [(compiled[3][3], k) for k in range(4)]
     before = threading.active_count()
     with pytest.raises(ValueError, match="shots must be >= 1"):
         sample_noisy_batch(jobs, noise, 0)
-    with pytest.raises(ValueError, match="workers must be >= 1"):
-        sample_noisy_batch(jobs, noise, 8, workers=0)
     assert threading.active_count() == before
 
 

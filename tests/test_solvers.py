@@ -144,6 +144,15 @@ def test_pooled_lsn_failure_signal_on_hopeless_pool():
         pooled_lsn(f, SamplePool.from_vectors([BitVec(4, 1)]), np.random.default_rng(6))
 
 
+def test_pooled_gauss_failure_signal_on_hopeless_pool():
+    pool = [LpnSample(BitVec(4, v), 0) for v in (1, 2, 3) * 3 + (1,)]  # a-rank two forever
+    rng = np.random.default_rng(6)
+    state = rng.bit_generator.state
+    with pytest.raises(SolveFailure, match="rank 2 < 4"):
+        pooled_gauss_lpn(pool, lambda cand: True, rng, max_loops=1000)  # before any draw
+    assert rng.bit_generator.state == state
+
+
 def test_pool_rank_is_capped_and_computed_once(monkeypatch):
     calls, rank_ints = [], solvers.rank_ints
 
