@@ -90,11 +90,11 @@ class BitVec:
 
 
 def _echelon(values: Sequence[int], n: int, stop: Optional[int] = None) -> List[int]:
-    """Reduced row echelon basis, pivots (lowest set bits) ascending; with
-    `stop`, that of the first rows of `values` that span `stop` dimensions.
+    """Reduced row echelon basis, one row per pivot (lowest set bit), unsorted;
+    with `stop`, that of the first rows of `values` that span `stop` dimensions.
 
     Each row's pivot column is clear in every other row, so reducing a new
-    row takes one pass, and the result is the unique reduced basis of the
+    row takes one pass, and the rows are the unique reduced basis of the
     row span whatever the order of `values`.
     """
     rows = {}  # pivot bit -> row
@@ -110,7 +110,7 @@ def _echelon(values: Sequence[int], n: int, stop: Optional[int] = None) -> List[
                 if row & low:
                     rows[bit] = row ^ v
             rows[low] = v
-    return [rows[bit] for bit in sorted(rows)]
+    return list(rows.values())
 
 
 def rank_ints(values: Sequence[int], n: int, stop: Optional[int] = None) -> int:

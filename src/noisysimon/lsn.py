@@ -13,6 +13,9 @@ import numpy as np
 
 from .gf2 import BitVec, orthogonal_basis, parity
 from .multiset import EmptyMultisetError, MeasurementMultiset
+from .transpile import CapacityError
+
+MAX_PACKED_BITS = 63  # samples are packed into int64
 
 
 @dataclass(frozen=True)
@@ -22,6 +25,8 @@ class LsnParams:
     s: BitVec
 
     def __post_init__(self) -> None:
+        if self.n > MAX_PACKED_BITS:
+            raise CapacityError(f"n={self.n} exceeds the {MAX_PACKED_BITS}-bit int64 sample packing")
         if not 0.0 <= self.tau < 0.5:
             raise ValueError(f"tau={self.tau} outside [0, 1/2)")
         if self.s.n != self.n:

@@ -54,6 +54,12 @@ def read_table(path: str | Path, columns: Sequence[str]) -> Tuple[Optional[int],
     return n, rows
 
 
+def count_outcomes(outcomes: np.ndarray) -> Dict[int, int]:
+    """Outcome -> count over an array of outcomes, outcomes ascending."""
+    values, cnt = np.unique(outcomes, return_counts=True)
+    return dict(zip(values.tolist(), cnt.tolist()))
+
+
 @dataclass(frozen=True)
 class MeasurementMultiset:
     """Outcomes in F_2^n with nonnegative integer counts."""
@@ -75,11 +81,7 @@ class MeasurementMultiset:
     @classmethod
     def from_outcomes(cls, n: int, outcomes: Iterable[int]) -> "MeasurementMultiset":
         arr = np.asarray(list(outcomes) if not isinstance(outcomes, np.ndarray) else outcomes)
-        counts: Dict[int, int] = {}
-        if arr.size:
-            values, cnt = np.unique(arr, return_counts=True)
-            counts = dict(zip(values.tolist(), cnt.tolist()))
-        return cls(n, counts)
+        return cls(n, count_outcomes(arr))
 
     @classmethod
     def from_counts(cls, n: int, counts: Mapping[int, int]) -> "MeasurementMultiset":

@@ -41,10 +41,12 @@ rather than O(shots x gates). A field of SPLIT_FIELD doubles or more is
 drawn in two halves on two threads, the second from a generator advanced
 past the first: the same doubles, and the same final generator state.
 
-Independent calls, such as the smoothing table's, are drawn two at a time
-on the calling thread and one helper (`sample_noisy_batch`). A job's
-generators are seeded from its own seed alone, so it draws the same outcomes
-on either thread. A single 8,192-shot call splits no field and starts no thread.
+Independent calls, such as the smoothing table's, are drawn in two halves
+(`sample_noisy_batch`), even jobs on the calling thread and odd ones on a
+helper that `_both` starts, joins and re-raises, as for a field; each thread
+counts a draw before its next. A job's generators are seeded from its own
+seed alone, so it draws the same outcomes on either thread. A single
+8,192-shot call splits no field and starts no thread.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from __future__ import annotations
 import importlib.resources
 import json
 import threading
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Sequence, Tuple
@@ -60,7 +61,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .circuits import Circuit
-from .multiset import MeasurementMultiset
+from .multiset import MeasurementMultiset, count_outcomes
 from .statevector import frames_and_support
 
 # Doubles per block of uniforms (512 KiB), and the fewest doubles of a field
@@ -144,6 +145,28 @@ def default_noise() -> NoiseParams:
     return NoiseParams.from_dict(json.loads(ref.read_text()))
 
 
+def _both(first, second) -> tuple:
+    """(first(), second()), `second` run on a helper thread; the helper is
+    joined before either's error is re-raised on the calling thread."""
+    out, errors = [], []
+
+    def helper():
+        try:
+            out.append(second())
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        low = first()
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return low, out[0]
+
+
 def _split_field(rng: np.random.Generator, rows: int, cols: int, buf: np.ndarray, step) -> list:
     """[step(start, u)] over the blocks of `rng.random((rows, cols))` in row
     order, u flat and holding as many whole rows from row `start` as fit in
@@ -158,24 +181,12 @@ def _split_field(rng: np.random.Generator, rows: int, cols: int, buf: np.ndarray
 
     if rows * cols < SPLIT_FIELD:
         return run(rng, 0, rows, buf)
-    mid, half, high, errors = rows // 2, buf.size // 2, [], []
+    mid, half = rows // 2, buf.size // 2
     state, twin = rng.bit_generator.state, type(rng.bit_generator)()
     twin.state = state
-
-    def helper():
-        try:
-            high.extend(run(np.random.Generator(twin.advance(mid * cols)), mid, rows, buf[half:]))
-        except BaseException as exc:  # re-raised in the calling thread
-            errors.append(exc)
-
-    thread = threading.Thread(target=helper)
-    thread.start()
-    try:
-        low = run(rng, 0, mid, buf[:half])
-    finally:
-        thread.join()
-    if errors:
-        raise errors[0]
+    low, high = _both(
+        lambda: run(rng, 0, mid, buf[:half]),
+        lambda: run(np.random.Generator(twin.advance(mid * cols)), mid, rows, buf[half:]))
     rng.bit_generator.state = {**twin.state, "has_uint32": state["has_uint32"],
                                "uinteger": state["uinteger"]}
     return low + high
@@ -256,53 +267,35 @@ def _sample_chunk(
     return outcomes
 
 
-def _draw(circuit: Circuit, seed, noise: NoiseParams, shots: int) -> np.ndarray:
-    """The outcomes `sample_noisy` counts, drawn from one generator seeded by
-    (seed, 0)."""
+def _draw(circuit: Circuit, seed, noise: NoiseParams, shots: int) -> MeasurementMultiset:
+    """`sample_noisy`'s multiset, drawn from one generator seeded by (seed, 0)
+    and counted by the thread that draws it."""
     rng = np.random.default_rng(seed if seed is None else [int(seed), 0])
-    return _sample_chunk(circuit, noise, shots, rng, *frames_and_support(circuit))
+    outcomes = _sample_chunk(circuit, noise, shots, rng, *frames_and_support(circuit))
+    return MeasurementMultiset(len(circuit.measured), count_outcomes(outcomes))
 
 
 def sample_noisy_batch(jobs: Sequence[Tuple[Circuit, object]], noise: NoiseParams,
                        shots: int) -> List[MeasurementMultiset]:
     """[sample_noisy(circuit, noise, shots, seed) for circuit, seed in jobs],
-    two jobs at a time: one helper thread draws jobs 1, 3, 5, ..., at most
-    two ahead, while the calling thread draws 0, 2, 4, .... The helper only
-    draws outcome arrays; each becomes a multiset on the calling thread as
-    soon as it arrives, in job order. A single job starts no thread."""
+    in two halves: the calling thread draws jobs 0, 2, 4, ... and one helper
+    thread jobs 1, 3, 5, ..., each counting its own draws. A failed draw
+    stops the other half before its next draw. A single job starts no thread."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    drawn, ready, room, stop = deque(), threading.Semaphore(0), threading.Semaphore(2), []
+    if len(jobs) < 2:
+        return [_draw(*job, noise, shots) for job in jobs]
+    failed = []
 
-    def helper():
-        for job in jobs[1::2]:
-            room.acquire()
-            try:
-                drawn.append(None if stop else _draw(*job, noise, shots))
-            except BaseException as exc:  # re-raised in the calling thread
-                drawn.append(exc)
-            ready.release()
+    def half(part):
+        try:
+            return [_draw(*job, noise, shots) for job in part if not failed]
+        except BaseException:
+            failed.append(True)  # the other half starts no further draw
+            raise
 
-    thread = threading.Thread(target=helper) if len(jobs) > 1 else None
-    if thread:
-        thread.start()
-    out = []
-    try:
-        for i, (circuit, seed) in enumerate(jobs):
-            if i % 2 == 0:
-                outcomes = _draw(circuit, seed, noise, shots)
-            else:
-                ready.acquire()
-                outcomes = drawn.popleft()
-                room.release()
-                if isinstance(outcomes, BaseException):
-                    raise outcomes
-            out.append(MeasurementMultiset.from_outcomes(len(circuit.measured), outcomes))
-    finally:
-        if thread:
-            stop.append(True)  # the helper skips the draws left
-            room.release(len(jobs))
-            thread.join()
+    out = [None] * len(jobs)
+    out[::2], out[1::2] = _both(lambda: half(jobs[::2]), lambda: half(jobs[1::2]))
     return out
 
 

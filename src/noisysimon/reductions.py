@@ -103,6 +103,18 @@ def transformed_lsn_distribution(params: LsnParams, z: BitVec) -> np.ndarray:
 # Solver wrappers (Las Vegas: verify, retry with fresh z)
 
 
+def _retry(n: int, m: int, retries: int, verify, rng: np.random.Generator,
+           transform: Callable[[BitVec], object], solve: Callable[[list], Optional[BitVec]]):
+    """The wrappers' Las Vegas loop. Per attempt: fresh uniform z, m samples
+    `transform(z)` and one `solve` call; the first nonzero verified candidate wins."""
+    for _ in range(retries):
+        z = BitVec(n, int(rng.integers(0, 1 << n)))
+        candidate = solve([transform(z) for _ in range(m)])
+        if candidate is not None and candidate.value != 0 and verify(candidate):
+            return candidate
+    raise SolveFailure(f"no verified candidate after {retries} attempts")
+
+
 def solve_lsn_via_lpn(
     lsn_oracle: Callable[[], BitVec],
     lpn_solver: Callable[[int, float, Sequence[LpnSample], np.random.Generator], Optional[BitVec]],
@@ -113,18 +125,9 @@ def solve_lsn_via_lpn(
     verify: Callable[[BitVec], bool],
     rng: np.random.Generator,
 ) -> BitVec:
-    """Recover the period through a parity solver.
-
-    Per attempt: fresh uniform z, m fresh transformed samples, one solver
-    call; a candidate is returned only if it is nonzero and verified.
-    """
-    for _ in range(retries):
-        z = BitVec(n, int(rng.integers(0, 1 << n)))
-        samples = [lsn_sample_to_lpn(lsn_oracle(), z, rng) for _ in range(m)]
-        candidate = lpn_solver(n, tau, samples, rng)
-        if candidate is not None and candidate.value != 0 and verify(candidate):
-            return candidate
-    raise SolveFailure(f"no verified candidate after {retries} attempts")
+    """Recover the period through a parity solver (`_retry`)."""
+    return _retry(n, m, retries, verify, rng, lambda z: lsn_sample_to_lpn(lsn_oracle(), z, rng),
+                  lambda samples: lpn_solver(n, tau, samples, rng))
 
 
 def solve_lpn_via_lsn(
@@ -138,13 +141,8 @@ def solve_lpn_via_lsn(
     rng: np.random.Generator,
 ) -> BitVec:
     """Mirror wrapper: recover a parity secret through a subspace-sample solver."""
-    for _ in range(retries):
-        z = BitVec(n, int(rng.integers(0, 1 << n)))
-        pool = [lpn_sample_to_lsn(lpn_oracle(), z) for _ in range(m)]
-        candidate = lsn_solver(n, tau, pool, rng)
-        if candidate is not None and candidate.value != 0 and verify(candidate):
-            return candidate
-    raise SolveFailure(f"no verified candidate after {retries} attempts")
+    return _retry(n, m, retries, verify, rng, lambda z: lpn_sample_to_lsn(lpn_oracle(), z),
+                  lambda pool: lsn_solver(n, tau, pool, rng))
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,7 @@ from .gf2 import BitVec, DimensionError, nullspace_ints, parity, rank_ints, solv
 from .multiset import MeasurementMultiset
 from .reductions import LpnSample, SolveFailure
 from .simon import SimonFunction
-from .transpile import CapacityError
-
-MAX_CLASSICAL_BITS = 24  # classical_period holds three 2^n-entry arrays, 272 MB at 24
+from .transpile import MAX_DENSE_BITS, CapacityError
 
 
 @dataclass(frozen=True)
@@ -136,8 +134,8 @@ def classical_period(
     each round, at a collision those of the round before.
     """
     n = f.n
-    if n > MAX_CLASSICAL_BITS:
-        raise CapacityError(f"n={n} exceeds the {MAX_CLASSICAL_BITS}-bit classical period limit")
+    if n > MAX_DENSE_BITS:
+        raise CapacityError(f"n={n} exceeds the {MAX_DENSE_BITS}-bit classical period limit")
     sched = _schedule(n)
     seen = {f.eval_int(0): 0}
     j = 1

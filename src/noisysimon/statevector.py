@@ -19,10 +19,7 @@ import numpy as np
 
 from .circuits import CNOT, Circuit, H, X
 from .gf2 import solve_ints
-from .transpile import CapacityError
-
-# Supports are materialised, one int64 per outcome: at most 2^24 (128 MiB).
-MAX_SUPPORT_BITS = 24
+from .transpile import MAX_DENSE_BITS, CapacityError
 
 
 def pauli_frames(circuit: Circuit):
@@ -67,7 +64,7 @@ def output_support(circuit: Circuit) -> np.ndarray:
     """The outcomes of the measured wires with nonzero probability, ascending.
 
     Each is equally likely, and their number is a power of two, at most
-    2^MAX_SUPPORT_BITS; CapacityError is raised for larger supports.
+    2^MAX_DENSE_BITS; CapacityError is raised for larger supports.
     """
     return frames_and_support(circuit)[1]
 
@@ -93,9 +90,9 @@ def frames_and_support(circuit: Circuit):
             fixed.append(u | s << m)
     # <u, outcome> = sign for each fixed u: the support is c + span(free).
     c, free = solve_ints(fixed, m)
-    if len(free) > MAX_SUPPORT_BITS:
+    if len(free) > MAX_DENSE_BITS:
         raise CapacityError(
-            f"{len(free)} free outcome bits exceed the {MAX_SUPPORT_BITS}-bit support limit"
+            f"{len(free)} free outcome bits exceed the {MAX_DENSE_BITS}-bit support limit"
         )
     support = np.array([c], dtype=np.int64)
     for v in free:

@@ -9,6 +9,7 @@ import numpy as np
 
 from .lsn import LsnParams, estimate_tau, model_distribution
 from .multiset import EmptyMultisetError, MeasurementMultiset
+from .transpile import MAX_DENSE_BITS, CapacityError
 
 
 class DivergenceError(ValueError):
@@ -69,8 +70,11 @@ def quality_report(m: MeasurementMultiset, params: LsnParams) -> QualityReport:
     (params.tau is ignored), mirroring how the model overlays are drawn.
     KL(model || empirical) is infinite when the model supports an outcome the
     multiset never saw, so a multiset too sparse for its model raises
-    `DivergenceError`, saying how many such outcomes there are.
+    `DivergenceError`, saying how many such outcomes there are. Both are
+    dense 2^n arrays: n above MAX_DENSE_BITS raises `CapacityError`.
     """
+    if m.n > MAX_DENSE_BITS:
+        raise CapacityError(f"n={m.n} exceeds the {MAX_DENSE_BITS}-bit dense distribution limit")
     tau_hat = estimate_tau(m, params.s)
     model = model_distribution(params.with_tau(tau_hat))
     emp = empirical_distribution(m)

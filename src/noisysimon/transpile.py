@@ -38,10 +38,12 @@ from .simon import SimonFunction
 # 7-vertex star at n=3 take 1.6 s on a 2-vCPU VM), so it ends in seconds.
 ROUTED_SEARCH_LIMIT = 5_000
 
+MAX_DENSE_BITS = 24  # widest dense 2^n array: 128 MiB of int64 support at 24
+
 
 class CapacityError(ValueError):
-    """The device cannot host the circuit, or no placement can be found in
-    reasonable time."""
+    """The device cannot host the circuit, no placement can be found in
+    reasonable time, or an array would be too large to hold."""
 
 
 class RoutingError(ValueError):

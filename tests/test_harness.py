@@ -358,6 +358,32 @@ def test_sparse_multiset_is_a_one_line_error(tmp_path, capsys):
     assert err.startswith("noisysimon: error: KL is infinite: ") and err.count("\n") == 1
 
 
+def test_inputs_too_wide_for_their_arrays_are_one_line_errors(tmp_path, capsys):
+    """The quality report's distributions are dense 2^n arrays, and solver
+    samples are packed into int64: both refuse a wider n before any array is
+    made. n=63 is the widest pool either pooled solver takes."""
+    wide = tmp_path / "wide.csv"
+    MeasurementMultiset(35, {3: 5}).to_csv(wide)
+    cases = [
+        (["stats", "--multiset", str(wide)], "n=35 exceeds the 24-bit dense distribution limit"),
+        (["solve", "--algorithm", "pooled-lsn", "--n", "64"],
+         "n=64 exceeds the 63-bit int64 sample packing"),
+        (["solve", "--algorithm", "pooled-lsn", "--n", "70"], "n=70 exceeds the 63-bit"),
+        (["solve", "--algorithm", "pooled-gauss", "--n", "64"], "n=64 exceeds the 63-bit"),
+    ]
+    for argv, message in cases:
+        assert main(["--out-dir", str(tmp_path)] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("noisysimon: error: ") and message in err
+        assert err.count("\n") == 1
+    assert not (tmp_path / "stats.csv").exists()
+    assert not (tmp_path / "solve.csv").exists()
+    for algorithm in ("pooled-lsn", "pooled-gauss"):
+        assert main(["--out-dir", str(tmp_path), "solve", "--algorithm", algorithm,
+                     "--n", "63", "--tau", "0"]) == 0
+        assert read_rows(tmp_path / "solve.csv")[0]["verified"] == "True"
+
+
 def test_import_loads_no_scipy_networkx_or_hypothesis():
     """Every command starts with this import; scipy.stats alone took about 1 s of it."""
     code = ("import sys, noisysimon, noisysimon.cli; "

@@ -24,8 +24,8 @@ from noisysimon.multiset import MeasurementMultiset
 from noisysimon.noise import NoiseParams, sample_noisy, sample_noisy_batch
 from noisysimon.simon import SimonFunction
 from noisysimon import CapacityError
+from noisysimon.transpile import MAX_DENSE_BITS
 from noisysimon.statevector import (
-    MAX_SUPPORT_BITS,
     circuits_equivalent,
     exact_output_distribution,
     pauli_frames,
@@ -112,7 +112,7 @@ def test_sampling_is_not_limited_by_width():
 
 def test_support_capacity_error():
     """A support too large to materialise fails at once with CapacityError."""
-    wires = MAX_SUPPORT_BITS + 1
+    wires = MAX_DENSE_BITS + 1
     circ = Circuit(wires, tuple(Gate(H, q) for q in range(wires)), tuple(range(wires)))
     with pytest.raises(CapacityError, match="support limit"):
         sample_noisy(circ, NoiseParams.ideal(), 16, seed=0)
@@ -288,7 +288,7 @@ def test_batch_starts_one_helper_and_a_single_job_none(compiled, noise, monkeypa
 
 @pytest.mark.parametrize("bad", range(4))  # jobs 0 and 2 run on the calling thread
 def test_batch_reraises_a_jobs_error_and_joins_its_helper(compiled, noise, monkeypatch, bad):
-    wires = MAX_SUPPORT_BITS + 1
+    wires = MAX_DENSE_BITS + 1
     wide = Circuit(wires, tuple(Gate(H, q) for q in range(wires)), tuple(range(wires)))
     jobs = [(compiled[3][3], k) for k in range(4)]
     before = threading.active_count()
@@ -308,6 +308,49 @@ def test_batch_reraises_a_jobs_error_and_joins_its_helper(compiled, noise, monke
         sample_noisy_batch(jobs, noise, 64)
     assert raised.value is error
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("bad", range(4))  # jobs 0 and 2 run on the calling thread
+def test_batch_stops_the_other_half_after_a_failed_draw(compiled, noise, monkeypatch, bad):
+    """Each job's draw starts once the job before it has ended, so the two
+    halves keep pace. When job `bad` fails, the other half ends the draw it
+    has under way and starts no other: at most bad + 2 draws in all."""
+    jobs = [(compiled[3][3], k) for k in range(8)]
+    ended = [threading.Event() for _ in jobs]
+    calls, draw = [], noise_module._draw
+
+    def paced(circuit, seed, *args):
+        calls.append(seed)
+        try:
+            assert seed == 0 or ended[seed - 1].wait(timeout=10)
+            if seed == bad:
+                raise RuntimeError("job failed")
+            return draw(circuit, seed, *args)
+        finally:
+            ended[seed].set()
+
+    monkeypatch.setattr(noise_module, "_draw", paced)
+    with pytest.raises(RuntimeError, match="job failed"):
+        sample_noisy_batch(jobs, noise, 64)
+    assert len(calls) <= bad + 2
+
+
+def test_batch_holds_no_outcomes_waiting_to_be_counted(compiled, noise):
+    """Each thread counts a draw before it starts the next, so a batch of 8
+    jobs peaks at about two single calls drawn at once: within half an
+    outcome array (2^16 int64) of twice a single call's peak."""
+    circ, shots = compiled[3][3], 1 << 16
+    peaks = []
+    for run in (lambda: sample_noisy(circ, noise, shots, seed=1),
+                lambda: sample_noisy_batch([(circ, k) for k in range(8)], noise, shots)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    single, batch = peaks
+    assert batch <= 2 * single + 4 * shots
 
 
 def test_concurrent_batches_under_fast_thread_switching(compiled, noise):
