@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .simon import SimonFunction
 
@@ -69,9 +69,6 @@ class Circuit:
         if self.labels is not None and len(self.labels) != self.width:
             raise ValueError("labels must cover every wire")
 
-    def with_gates(self, gates: Sequence[Gate]) -> "Circuit":
-        return replace(self, gates=tuple(gates))
-
     def label_of(self, wire: int):
         return self.labels[wire] if self.labels is not None else wire
 
@@ -80,8 +77,8 @@ class Circuit:
         g1 = sum(1 for g in self.gates if g.arity == 1)
         return g1, len(self.gates) - g1
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self, path: str | Path | None = None) -> str:
+        text = json.dumps({
             "width": self.width,
             "gates": [
                 {"kind": g.kind, "target": g.target}
@@ -91,31 +88,22 @@ class Circuit:
             ],
             "measured": list(self.measured),
             "labels": list(self.labels) if self.labels is not None else None,
-        }
-
-    def to_json(self, path: str | Path | None = None) -> str:
-        text = json.dumps(self.to_json_dict(), indent=2)
+        }, indent=2)
         if path is not None:
             Path(path).write_text(text + "\n")
         return text
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "Circuit":
-        gates = tuple(
-            Gate(g["kind"], g["target"], g.get("control")) for g in d["gates"]
-        )
+    def from_json(cls, text: str) -> "Circuit":
+        """Parse the text that `to_json` returns."""
+        d = json.loads(text)
         labels = d.get("labels")
         return cls(
             d["width"],
-            gates,
+            tuple(Gate(g["kind"], g["target"], g.get("control")) for g in d["gates"]),
             tuple(d["measured"]),
             tuple(labels) if labels is not None else None,
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Circuit":
-        """Parse the text that `to_json` returns."""
-        return cls.from_json_dict(json.loads(text))
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "Circuit":
@@ -123,16 +111,8 @@ class Circuit:
         return cls.from_json(Path(path).read_text())
 
 
-def x_label(j: int) -> str:
-    return f"x{j}"
-
-
-def y_label(j: int) -> str:
-    return f"y{j}"
-
-
 def simon_wire_labels(n: int) -> Tuple[str, ...]:
-    return tuple(x_label(j) for j in range(n)) + tuple(y_label(j) for j in range(n))
+    return tuple(f"x{j}" for j in range(n)) + tuple(f"y{j}" for j in range(n))
 
 
 def build_simon_circuit(f: SimonFunction) -> Circuit:
@@ -158,4 +138,4 @@ def build_simon_circuit(f: SimonFunction) -> Circuit:
 def append_measurement_flips(circuit: Circuit) -> Circuit:
     """Append an X to every measured wire (the flipped-readout variant)."""
     extra = tuple(Gate(X, q) for q in circuit.measured)
-    return circuit.with_gates(circuit.gates + extra)
+    return replace(circuit, gates=circuit.gates + extra)

@@ -137,22 +137,16 @@ def cmd_transpile_report(args) -> int:
     return 0
 
 
-def _measure_multiset(args, graph, noise, n: int) -> MeasurementMultiset:
-    f = SimonFunction.default(n)
-    if args.config == "naive":
-        cfg = Configuration.naive(n)
-    else:
-        cfg, _ = search_min_configuration(f, graph)
-    circ = compile_simon_circuit(f, graph, cfg)
-    return sample_noisy(circ, noise, args.shots, seed=args.seed)
-
-
 def cmd_measure(args) -> int:
     graph = _topology(args)
     noise = _noise(args)
     out = _out_dir(args)
-    m = _measure_multiset(args, graph, noise, args.n)
     f = SimonFunction.default(args.n)
+    if args.config == "naive":
+        cfg = Configuration.naive(args.n)
+    else:
+        cfg, _ = search_min_configuration(f, graph)
+    m = sample_noisy(compile_simon_circuit(f, graph, cfg), noise, args.shots, seed=args.seed)
     m.to_csv(out / f"measure_n{args.n}.csv", header=_header(args, {"tau_hat": estimate_tau(m, f.s)}))
     print(f"wrote {out / f'measure_n{args.n}.csv'}")
     return 0

@@ -16,8 +16,16 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 
+MAX_DENSE_BITS = 24  # widest dense 2^n array: 128 MiB of int64 support at 24
+
+
 class DimensionError(ValueError):
     """Operands have incompatible vector lengths."""
+
+
+class CapacityError(ValueError):
+    """The device cannot host the circuit, no placement can be found in
+    reasonable time, or an array would be too large to hold."""
 
 
 def parity(a: np.ndarray) -> np.ndarray:

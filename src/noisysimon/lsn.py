@@ -11,9 +11,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gf2 import BitVec, orthogonal_basis, parity
+from .gf2 import BitVec, CapacityError, orthogonal_basis, parity
 from .multiset import EmptyMultisetError, MeasurementMultiset
-from .transpile import CapacityError
 
 MAX_PACKED_BITS = 63  # samples are packed into int64
 

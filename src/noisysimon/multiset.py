@@ -79,9 +79,8 @@ class MeasurementMultiset:
         return sum(self.counts.values())
 
     @classmethod
-    def from_outcomes(cls, n: int, outcomes: Iterable[int]) -> "MeasurementMultiset":
-        arr = np.asarray(list(outcomes) if not isinstance(outcomes, np.ndarray) else outcomes)
-        return cls(n, count_outcomes(arr))
+    def from_outcomes(cls, n: int, outcomes: np.ndarray | Sequence[int]) -> "MeasurementMultiset":
+        return cls(n, count_outcomes(np.asarray(outcomes)))
 
     @classmethod
     def from_counts(cls, n: int, counts: Mapping[int, int]) -> "MeasurementMultiset":

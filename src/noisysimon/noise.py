@@ -54,7 +54,7 @@ from __future__ import annotations
 import importlib.resources
 import json
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import List, Sequence, Tuple
 
@@ -93,12 +93,11 @@ class NoiseParams:
         return cls()
 
     @classmethod
-    def uniform(cls, eps1: float, p01: float, p10: float, crosstalk: float = 0.0,
-                eps2: float | None = None) -> "NoiseParams":
-        """Same readout on every qubit; eps2 defaults to ten times eps1."""
+    def uniform(cls, eps1: float, p01: float, p10: float, crosstalk: float = 0.0) -> "NoiseParams":
+        """Same readout on every qubit; eps2 is ten times eps1."""
         return cls(
             eps1=eps1,
-            eps2=10.0 * eps1 if eps2 is None else eps2,
+            eps2=10.0 * eps1,
             crosstalk=crosstalk,
             readout=(),
             default_p01=p01,
@@ -107,8 +106,15 @@ class NoiseParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseParams":
-        """Parameters from their JSON form; absent rates are 0 and eps2
-        defaults to ten times eps1."""
+        """Parameters from their JSON object; absent rates are 0, eps2
+        defaults to ten times eps1, and a key that names no parameter is an
+        error (a misspelt rate would otherwise read as 0)."""
+        if not isinstance(d, dict):
+            raise ValueError(f"malformed noise parameters: a {type(d).__name__}, not a JSON object")
+        names = [f.name for f in fields(cls)]
+        unknown = [key for key in d if key not in names]
+        if unknown:
+            raise ValueError(f"unknown noise parameters {unknown}; the known ones are {names}")
         try:
             eps1 = d.get("eps1", 0.0)
             readout = tuple(map(tuple, d.get("readout", [])))
@@ -123,7 +129,7 @@ class NoiseParams:
                 default_p01=d.get("default_p01", 0.0),
                 default_p10=d.get("default_p10", 0.0),
             )
-        except (AttributeError, TypeError) as exc:
+        except TypeError as exc:
             raise ValueError(f"malformed noise parameters: {exc}") from exc
 
     @classmethod
@@ -267,15 +273,15 @@ def _sample_chunk(
     return outcomes
 
 
-def _draw(circuit: Circuit, seed, noise: NoiseParams, shots: int) -> MeasurementMultiset:
+def _draw(circuit: Circuit, seed: int, noise: NoiseParams, shots: int) -> MeasurementMultiset:
     """`sample_noisy`'s multiset, drawn from one generator seeded by (seed, 0)
     and counted by the thread that draws it."""
-    rng = np.random.default_rng(seed if seed is None else [int(seed), 0])
+    rng = np.random.default_rng([int(seed), 0])
     outcomes = _sample_chunk(circuit, noise, shots, rng, *frames_and_support(circuit))
     return MeasurementMultiset(len(circuit.measured), count_outcomes(outcomes))
 
 
-def sample_noisy_batch(jobs: Sequence[Tuple[Circuit, object]], noise: NoiseParams,
+def sample_noisy_batch(jobs: Sequence[Tuple[Circuit, int]], noise: NoiseParams,
                        shots: int) -> List[MeasurementMultiset]:
     """[sample_noisy(circuit, noise, shots, seed) for circuit, seed in jobs],
     in two halves: the calling thread draws jobs 0, 2, 4, ... and one helper
@@ -300,7 +306,7 @@ def sample_noisy_batch(jobs: Sequence[Tuple[Circuit, object]], noise: NoiseParam
 
 
 def sample_noisy(circuit: Circuit, noise: NoiseParams, shots: int,
-                 seed=None) -> MeasurementMultiset:
+                 seed: int) -> MeasurementMultiset:
     """Monte-Carlo sampling of the circuit under the synthetic noise model,
-    deterministic for a fixed seed."""
+    deterministic for each seed."""
     return sample_noisy_batch([(circuit, seed)], noise, shots)[0]

@@ -15,7 +15,7 @@ Three techniques:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -57,20 +57,20 @@ def double_flip(
     circuit: Circuit,
     noise: NoiseParams,
     shots: int,
-    seed=None,
+    seed: int,
 ) -> MeasurementMultiset:
     """Pool a plain run of the compiled circuit with a flipped-readout run
-    (outcomes re-complemented)."""
+    (outcomes re-complemented), deterministic for each seed."""
     return double_flip_each([circuit], noise, shots, [seed])[0]
 
 
 def double_flip_each(circuits: Sequence[Circuit], noise: NoiseParams, shots: int,
-                     seeds: Sequence) -> List[MeasurementMultiset]:
+                     seeds: Sequence[int]) -> List[MeasurementMultiset]:
     """[double_flip(c, noise, shots, seed) for c, seed in zip(circuits, seeds)],
     the plain and flipped runs of all circuits drawn in one batch."""
     jobs = []
     for c, seed in zip(circuits, seeds):
-        jobs += [(c, seed), (append_measurement_flips(c), None if seed is None else seed + 1)]
+        jobs += [(c, seed), (append_measurement_flips(c), seed + 1)]
     runs = iter(sample_noisy_batch(jobs, noise, shots))  # plain, flipped, plain, ...
     return [plain.merge(refl.map_outcomes(lambda o, ones=(1 << len(c.measured)) - 1: o ^ ones))
             for c, plain, refl in zip(circuits, runs, runs)]
@@ -81,16 +81,15 @@ def permutation_configurations(
     graph: TopologyGraph,
     count: int,
     rng: np.random.Generator,
-    base: Optional[Configuration] = None,
+    base: Configuration,
 ) -> List[Configuration]:
-    """Norm-preserving reshuffles of a minimum-norm starting configuration.
+    """Norm-preserving reshuffles of the minimum-norm configuration `base`.
 
     Each draw flips a coin to swap the two control-register wires and applies
     a random permutation to the remaining register pairs, relabeling which
-    logical pair sits on which physical pair of qubits.
+    logical pair sits on which physical pair of qubits. `graph` is not read:
+    a relabelling of `base` keeps its wires on the same device edges.
     """
-    if base is None:
-        base, _ = search_min_configuration(f, graph)
     assign = base.as_dict()
     n = f.n
     out = []
@@ -113,9 +112,10 @@ def permutation_smooth(
     circuits: Sequence[Circuit],
     shots_per_config: int,
     noise: NoiseParams,
-    seed=None,
+    seed: int,
 ) -> MeasurementMultiset:
-    """Run every compiled configuration and pool the (logically ordered) outcomes.
+    """Run every compiled configuration and pool the (logically ordered)
+    outcomes, deterministic for each seed.
 
     Rejects circuits that do not attain the minimal circuit norm, since those
     would change the error rate they are supposed to preserve.
@@ -127,5 +127,5 @@ def permutation_smooth(
             raise ValueError(
                 f"configuration {k} has norm {cn.value}, not the minimum {min_cn.value}"
             )
-    jobs = [(c, None if seed is None else seed + k) for k, c in enumerate(circuits)]
+    jobs = [(c, seed + k) for k, c in enumerate(circuits)]
     return merge_all(sample_noisy_batch(jobs, noise, shots_per_config))

@@ -14,11 +14,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gf2 import BitVec, DimensionError, nullspace_ints, parity, rank_ints, solve_ints
+from .gf2 import (MAX_DENSE_BITS, BitVec, CapacityError, DimensionError, nullspace_ints,
+                  parity, rank_ints, solve_ints)
 from .multiset import MeasurementMultiset
 from .reductions import LpnSample, SolveFailure
 from .simon import SimonFunction
-from .transpile import MAX_DENSE_BITS, CapacityError
 
 
 @dataclass(frozen=True)
@@ -215,8 +215,6 @@ def pooled_gauss_lpn(
     samples allows one draw, taken without the generator; SolveFailure
     follows at once if it fails. A larger pool whose a-parts have rank below
     n has no solvable draw, and SolveFailure follows before any draw."""
-    if not isinstance(pool, (list, tuple)):
-        pool = list(pool)
     if not pool:
         raise ValueError("empty pool")
     n = pool[0].a.n

@@ -18,8 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuits import CNOT, Circuit, H, X
-from .gf2 import solve_ints
-from .transpile import MAX_DENSE_BITS, CapacityError
+from .gf2 import MAX_DENSE_BITS, CapacityError, solve_ints
 
 
 def pauli_frames(circuit: Circuit):

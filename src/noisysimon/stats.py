@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gf2 import MAX_DENSE_BITS, CapacityError
 from .lsn import LsnParams, estimate_tau, model_distribution
 from .multiset import EmptyMultisetError, MeasurementMultiset
-from .transpile import MAX_DENSE_BITS, CapacityError
 
 
 class DivergenceError(ValueError):

@@ -27,9 +27,10 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from .circuits import CNOT, Circuit, Gate, H, X, build_simon_circuit, simon_wire_labels
+from .gf2 import MAX_DENSE_BITS, CapacityError  # MAX_DENSE_BITS is re-exported
 from .simon import SimonFunction
 
 
@@ -37,13 +38,6 @@ from .simon import SimonFunction
 # most. A routed compile takes under a millisecond (the 2,520 placements of a
 # 7-vertex star at n=3 take 1.6 s on a 2-vCPU VM), so it ends in seconds.
 ROUTED_SEARCH_LIMIT = 5_000
-
-MAX_DENSE_BITS = 24  # widest dense 2^n array: 128 MiB of int64 support at 24
-
-
-class CapacityError(ValueError):
-    """The device cannot host the circuit, no placement can be found in
-    reasonable time, or an array would be too large to hold."""
 
 
 class RoutingError(ValueError):
@@ -60,9 +54,11 @@ class TopologyGraph:
     edges: FrozenSet[Tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 0:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
             raise ValueError(f"vertex count {self.n!r} is not a non-negative integer")
         for u, v in self.edges:
+            if not all(isinstance(w, int) and not isinstance(w, bool) for w in (u, v)):
+                raise ValueError(f"edge ({u},{v}) has a vertex that is not an integer")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -193,9 +189,6 @@ class Configuration:
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self.items)
-
-    def vertices(self) -> Tuple[int, ...]:
-        return tuple(v for _, v in self.items)
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict())
@@ -468,7 +461,7 @@ def compile_simon_circuit(
 
 
 def _search(
-    f: SimonFunction, graph: TopologyGraph, limit: Optional[int]
+    f: SimonFunction, graph: TopologyGraph, limit: int
 ) -> Tuple[List[Configuration], CircuitNorm]:
     if 2 * f.n > graph.n:
         raise CapacityError(f"need {2 * f.n} wires but the device has {graph.n}")
@@ -480,7 +473,7 @@ def _search(
     configs: List[Configuration] = []
     for emb in _embeddings(nodes, edges, graph):
         configs.append(_fill_free_vertices(emb, all_labels, graph))
-        if limit is not None and len(configs) >= limit:
+        if len(configs) >= limit:
             break
 
     if configs:  # swap-free, so each compiles to `logical` with renamed wires

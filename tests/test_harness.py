@@ -280,6 +280,16 @@ def test_bad_input_gives_one_line_error(tmp_path, capsys):
     short_edge.write_text(json.dumps({"vertices": 4, "edges": [[0, 1], [0]]}))
     long_edge = tmp_path / "long_edge.json"
     long_edge.write_text(json.dumps({"vertices": 4, "edges": [[0, 1, 2]]}))
+    half_vertex = tmp_path / "half_vertex.json"
+    half_vertex.write_text(json.dumps({"vertices": 15, "edges": [[0.5, 1], [1, 2]]}))
+    bool_vertex = tmp_path / "bool_vertex.json"
+    bool_vertex.write_text(json.dumps({"vertices": 15, "edges": [[0, 1], [True, 2]]}))
+    bool_count = tmp_path / "bool_count.json"
+    bool_count.write_text(json.dumps({"vertices": True, "edges": []}))
+    unknown_key = tmp_path / "unknown_key.json"
+    unknown_key.write_text(json.dumps({"eps1": 0.01, "bogus": 3}))
+    noise_list = tmp_path / "noise_list.json"
+    noise_list.write_text(json.dumps([1, 2]))
     multiset = tmp_path / "m.csv"
     MeasurementMultiset(3, {o: 90 if o in (0, 3, 4, 7) else 10 for o in range(8)}).to_csv(multiset)
     cases = [
@@ -319,6 +329,17 @@ def test_bad_input_gives_one_line_error(tmp_path, capsys):
         (["--topology", str(long_edge), "measure", "--n", "2"], "malformed edge [0, 1, 2]"),
         (["reduction-check", "--n", "0"], "--n must be >= 1"),
         (["reduction-check", "--n", "-3"], "--n must be >= 1"),
+        (["--topology", str(half_vertex), "measure", "--n", "2"],
+         "edge (0.5,1) has a vertex that is not an integer"),
+        (["--topology", str(half_vertex), "transpile-report", "--n-max", "2"],
+         "edge (0.5,1) has a vertex that is not an integer"),
+        (["--topology", str(bool_vertex), "measure", "--n", "2"],
+         "edge (True,2) has a vertex that is not an integer"),
+        (["--topology", str(bool_count), "measure", "--n", "2"],
+         "vertex count True is not a non-negative integer"),
+        (["--noise", str(unknown_key), "measure", "--n", "2"], "unknown noise parameters ['bogus']"),
+        (["--noise", str(noise_list), "measure", "--n", "2"],
+         "malformed noise parameters: a list, not a JSON object"),
     ]
     for argv, message in cases:
         assert main(["--out-dir", str(tmp_path)] + argv) == 2
@@ -413,3 +434,38 @@ def test_no_module_imports_a_private_name_of_a_sibling():
                           for alias in node.names
                           if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert found == []
+
+
+def test_seeds_and_the_permutation_base_are_required():
+    """No sampler or smoothing path draws from an unseeded generator, and the
+    permutation reshuffles start from a configuration the caller searched."""
+    import inspect
+
+    required = [(noise_module.sample_noisy, "seed"), (smoothing.double_flip, "seed"),
+                (smoothing.permutation_smooth, "seed"),
+                (smoothing.permutation_configurations, "base")]
+    for fn, name in required:
+        assert inspect.signature(fn).parameters[name].default is inspect.Parameter.empty, fn
+
+
+def test_classical_modules_import_no_circuit_layer():
+    """The F2, sample, statistics and solver modules, and every package module
+    they import in turn, import none of the circuit, simulation, noise,
+    compiler or smoothing modules."""
+    import ast
+
+    package = Path(noisysimon.__file__).resolve().parent
+    imports = {}  # module -> the package modules it imports (all imports are relative)
+    for path in package.glob("*.py"):
+        imports[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imports[path.stem] |= {node.module} if node.module else {a.name for a in node.names}
+    circuit_layer = {"circuits", "statevector", "noise", "transpile", "smoothing"}
+    for module in ("gf2", "simon", "multiset", "lsn", "stats", "reductions", "solvers"):
+        reached, todo = set(), [module]
+        while todo:
+            for dep in imports.get(todo.pop(), set()) - reached:
+                reached.add(dep)
+                todo.append(dep)
+        assert not reached & circuit_layer, (module, sorted(reached & circuit_layer))
