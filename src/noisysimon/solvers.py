@@ -9,13 +9,14 @@ from __future__ import annotations
 import functools
 import math
 import threading
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .gf2 import (MAX_DENSE_BITS, BitVec, CapacityError, DimensionError, nullspace_ints,
-                  parity, rank_ints, solve_ints)
+                  rank_ints, solve_ints)
 from .multiset import MeasurementMultiset
 from .reductions import LpnSample, SolveFailure
 from .simon import SimonFunction
@@ -157,11 +158,30 @@ def classical_period(
 # Pooled solvers
 
 
-def _draw_distinct(rng: np.random.Generator, pool_size: int, k: int) -> List[int]:
+def _index_sets(rng: np.random.Generator, pool_size: int, k: int) -> Iterator[List[int]]:
+    """Sets of k >= 1 distinct indices below pool_size, each the next
+    `rng.integers(0, pool_size, size=k)` without a repeat. After four single
+    draws (most solves need no more), one call draws blocks of 8, 16, 32, ...
+    draws; a bounded draw takes one 32-bit word per value and keeps no buffer
+    (Lemire's method), so the values are those of one call per draw. Closed
+    mid-block, it resets the generator and redraws the values used: the
+    caller must close it however it stops, and draw nothing from rng meanwhile."""
+    for _ in range(4):
+        if len(set(idx := rng.integers(0, pool_size, size=k).tolist())) == k:
+            yield idx
+    block = 8
     while True:
-        idx = rng.integers(0, pool_size, size=k).tolist()
-        if len(set(idx)) == k:
-            return idx
+        state = rng.bit_generator.state
+        vals = rng.integers(0, pool_size, size=block * k).tolist()
+        try:
+            for used in range(k, len(vals) + 1, k):
+                if len(set(idx := vals[used - k:used])) == k:
+                    yield idx
+        finally:
+            if used < len(vals):
+                rng.bit_generator.state = state
+                rng.integers(0, pool_size, size=used)
+        block *= 2
 
 
 def pooled_lsn(
@@ -189,18 +209,16 @@ def pooled_lsn(
         raise SolveFailure(
             f"the pool has rank {pool.capped_rank} < {n - 1}: no draw of {n - 1} is independent")
     one_draw = len(vals) == n - 1 or n == 1
-    loops = 0
     queries = 0
-    while loops < max_loops:
-        loops += 1
-        idx = range(n - 1) if one_draw else _draw_distinct(rng, len(vals), n - 1)
-        null = nullspace_ints([vals[i] for i in idx], n)
-        if len(null) == 1:
-            queries += 1
-            if f.verify_period(BitVec(n, null[0])):
-                return BitVec(n, null[0]), CostReport(loops, queries)
-        if one_draw:
-            raise SolveFailure(f"a pool of {len(vals)} allows one draw of {n - 1}: no verified period")
+    with closing(_index_sets(rng, len(vals), n - 1)) as draws:
+        for loops, idx in zip(range(1, max_loops + 1), [range(n - 1)] if one_draw else draws):
+            null = nullspace_ints([vals[i] for i in idx], n)
+            if len(null) == 1:
+                queries += 1
+                if f.verify_period(period := BitVec(n, null[0])):
+                    return period, CostReport(loops, queries)
+    if one_draw and max_loops > 0:
+        raise SolveFailure(f"a pool of {len(vals)} allows one draw of {n - 1}: no verified period")
     raise SolveFailure(f"no verified period within {max_loops} loops")
 
 
@@ -212,29 +230,27 @@ def pooled_gauss_lpn(
 ) -> Tuple[BitVec, CostReport]:
     """Repeatedly draw n distinct parity samples, solve the linear system,
     and return the first candidate the verifier accepts. A pool of exactly n
-    samples allows one draw, taken without the generator; SolveFailure
-    follows at once if it fails. A larger pool whose a-parts have rank below
-    n has no solvable draw, and SolveFailure follows before any draw."""
+    samples (or n = 0) allows one draw, taken without the generator;
+    SolveFailure follows at once if it fails. A larger pool whose a-parts have
+    rank below n has no solvable draw, and SolveFailure follows before any draw."""
     if not pool:
         raise ValueError("empty pool")
     n = pool[0].a.n
     if len(pool) < n:
         raise ValueError(f"pool of {len(pool)} cannot determine {n} unknowns")
-    one_draw = len(pool) == n
+    one_draw = len(pool) == n or n == 0
     if not one_draw:
         rank = rank_ints((smp.a.value for smp in pool), n, stop=n)
         if rank < n:
             raise SolveFailure(
                 f"the pool's a-parts have rank {rank} < {n}: no draw of {n} is solvable")
-    loops = 0
-    while loops < max_loops:
-        loops += 1
-        idx = range(n) if one_draw else _draw_distinct(rng, len(pool), n)
-        s, null = solve_ints([pool[i].a.value | (pool[i].b & 1) << n for i in idx], n)
-        if s is not None and not null and s != 0 and verifier(BitVec(n, s)):
-            return BitVec(n, s), CostReport(loops, loops)
-        if one_draw:
-            raise SolveFailure(f"a pool of {len(pool)} allows one draw of {n}: no verified secret")
+    with closing(_index_sets(rng, len(pool), n)) as draws:
+        for loops, idx in zip(range(1, max_loops + 1), [range(n)] if one_draw else draws):
+            s, null = solve_ints([pool[i].a.value | (pool[i].b & 1) << n for i in idx], n)
+            if s is not None and not null and s != 0 and verifier(secret := BitVec(n, s)):
+                return secret, CostReport(loops, loops)
+    if one_draw and max_loops > 0:
+        raise SolveFailure(f"a pool of {len(pool)} allows one draw of {n}: no verified secret")
     raise SolveFailure(f"no verified secret within {max_loops} loops")
 
 
@@ -242,16 +258,29 @@ def majority_verifier(
     heldout: Sequence[LpnSample], tau: float
 ) -> Callable[[BitVec], bool]:
     """Accept a candidate whose held-out mismatch rate is closer to tau than
-    to one half."""
+    to one half. The held-out set is held bitsliced in Python ints: bit i of
+    column 1 << j is bit j of sample i's a, and bit i of the labels its b. A
+    candidate's parities are the XOR of its columns, its mismatches one popcount."""
     if not heldout:
         raise ValueError("empty held-out set: no candidate could be verified")
-    a_vals = np.array([smp.a.value for smp in heldout], dtype=np.int64)
-    b_vals = np.array([smp.b for smp in heldout], dtype=np.int64)
-    threshold = (tau + 0.5) / 2.0
+    n = heldout[0].a.n
+    if any(smp.a.n != n for smp in heldout):
+        raise DimensionError(f"held-out samples differ in length from n={n}")
+    if any(smp.b not in (0, 1) for smp in heldout):
+        raise ValueError("a held-out label is not 0 or 1")
+    cols = {1 << j: int("".join(str(smp.a.value >> j & 1) for smp in reversed(heldout)), 2)
+            for j in range(n)}
+    labels = int("".join(str(int(smp.b)) for smp in reversed(heldout)), 2)
+    size, threshold = len(heldout), (tau + 0.5) / 2.0
 
     def verify(cand: BitVec) -> bool:
-        mism = (parity(a_vals & cand.value) ^ b_vals).mean()
-        return bool(mism < threshold)
+        if cand.n != n:
+            raise DimensionError(f"candidate length {cand.n} != held-out n={n}")
+        mism = labels
+        for bit, col in cols.items():
+            if cand.value & bit:
+                mism ^= col
+        return mism.bit_count() / size < threshold
 
     return verify
 

@@ -1,4 +1,7 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from noisysimon import (
     SimonFunction,
@@ -7,6 +10,12 @@ from noisysimon import (
     melbourne_topology,
     search_min_configuration,
 )
+
+# CI sets CI: there the property tests draw the same examples on every run,
+# so a job cannot fail by chance; local runs keep drawing fresh ones.
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

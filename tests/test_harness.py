@@ -469,3 +469,10 @@ def test_classical_modules_import_no_circuit_layer():
                 reached.add(dep)
                 todo.append(dep)
         assert not reached & circuit_layer, (module, sorted(reached & circuit_layer))
+
+
+def test_ci_runs_draw_the_same_property_examples_every_time():
+    from hypothesis import settings
+
+    assert settings.get_profile("ci").derandomize
+    assert settings.default.derandomize == bool(os.environ.get("CI"))

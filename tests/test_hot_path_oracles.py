@@ -27,6 +27,13 @@ and the rewriting must not raise the norm.
 one score update per new distance; the library's batched updates must give
 the same ledgers, period and cost. `classical_period_reference` restates it
 as a full rescan per round (compared in `test_solvers.py`).
+`reference_draw_distinct` draws each index set of the pooled solvers with
+its own `integers` call; the library's blocked draws, rewound when a solve
+stops mid-block, must give the same sets and leave the generator in the same
+state, whether the solve succeeds, reaches `max_loops` or its verifier
+raises. `reference_majority_verifier` takes the held-out mismatch rate as a
+numpy mean; the bitsliced verifier must make the same decision for every
+candidate, also at a mismatch count exactly at the threshold.
 """
 
 import itertools
@@ -41,6 +48,7 @@ from networkx.algorithms.isomorphism import GraphMatcher
 import math
 import sys
 import threading
+from contextlib import closing
 from typing import Callable, List, Optional, Tuple
 
 from noisysimon import noise as noise_module
@@ -53,15 +61,21 @@ from noisysimon.circuits import (
     append_measurement_flips,
     build_simon_circuit,
 )
-from noisysimon.gf2 import BitVec, _echelon, nullspace_ints, solve_ints
+from noisysimon.gf2 import BitVec, _echelon, nullspace_ints, parity, solve_ints
 from noisysimon.noise import NoiseParams, _sample_chunk, _split_field
+from noisysimon.reductions import LpnSample, SolveFailure
 from noisysimon.simon import SimonFunction
 from noisysimon.smoothing import permutation_configurations
 from noisysimon.solvers import (
     CostReport,
     QueryLedger,
+    SamplePool,
+    _index_sets,
     _schedule,
     classical_period,
+    majority_verifier,
+    pooled_gauss_lpn,
+    pooled_lsn,
 )
 from noisysimon.statevector import exact_output_distribution, frames_and_support, output_support
 from noisysimon.transpile import (
@@ -798,3 +812,158 @@ def test_threads_extending_one_cold_schedule_match_the_oracle():
             assert got == [want] * 4
     finally:
         sys.setswitchinterval(interval)
+
+
+# ---------------------------------------------------------------------------
+# Pooled solvers
+
+
+def reference_draw_distinct(rng: np.random.Generator, pool_size: int, k: int) -> List[int]:
+    while True:
+        idx = rng.integers(0, pool_size, size=k).tolist()
+        if len(set(idx)) == k:
+            return idx
+
+
+# The single draws end after 4 draws and the blocks after 12, 28 and 60.
+BLOCK_EDGES = (1, 4, 5, 12, 13, 28, 29, 60, 61)
+
+pool_sizes = st.one_of(st.integers(0, 3), st.just(None))  # k + extra, or 16,384
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), pool_sizes, st.integers(1, 64), st.integers(0, 2**32 - 1))
+@example(k=7, extra=None, loops=61, seed=0)
+@example(k=3, extra=0, loops=29, seed=1)
+def test_index_sets_match_one_call_per_draw(k, extra, loops, seed):
+    """However many sets are taken before the iterator is closed, they and
+    the generator's state are those of one `integers` call per draw."""
+    pool_size = 16384 if extra is None else k + extra
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    with closing(_index_sets(rng, pool_size, k)) as draws:
+        got = [next(draws) for _ in range(loops)]
+    assert got == [reference_draw_distinct(ref, pool_size, k) for _ in range(loops)]
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.integers(0, 1 << 62) == ref.integers(0, 1 << 62)
+
+
+@pytest.mark.parametrize("pool_size, k", [(16384, 6), (8, 7)])
+def test_index_sets_match_at_every_stop_past_the_third_block(pool_size, k):
+    for loops in range(1, 66):
+        rng, ref = np.random.default_rng(loops), np.random.default_rng(loops)
+        with closing(_index_sets(rng, pool_size, k)) as draws:
+            got = [next(draws) for _ in range(loops)]
+        want = [reference_draw_distinct(ref, pool_size, k) for _ in range(loops)]
+        assert got == want and rng.bit_generator.state == ref.bit_generator.state, loops
+
+
+class Stop(Exception):
+    pass
+
+
+def reference_pooled_gauss(pool, verifier, rng, max_loops):
+    """`pooled_gauss_lpn`'s loop over a pool larger than n, one call per draw."""
+    n = pool[0].a.n
+    for loops in range(1, max_loops + 1):
+        idx = reference_draw_distinct(rng, len(pool), n)
+        s, null = solve_ints([pool[i].a.value | (pool[i].b & 1) << n for i in idx], n)
+        if s is not None and not null and s != 0 and verifier(BitVec(n, s)):
+            return BitVec(n, s), CostReport(loops, loops)
+    raise SolveFailure(f"no verified secret within {max_loops} loops")
+
+
+def gauss_outcome(solve, pool, seed, max_loops, accept_at, raise_at):
+    """What one solve leaves when its verifier accepts its accept_at-th
+    candidate and raises at its raise_at-th: the result or error, the
+    candidates seen and the generator's state."""
+    rng, seen = np.random.default_rng(seed), []
+
+    def verifier(cand):
+        seen.append(cand.value)
+        if len(seen) == raise_at:
+            raise Stop(len(seen))
+        return len(seen) == accept_at
+
+    try:
+        result = solve(pool, verifier, rng, max_loops)
+    except (SolveFailure, Stop) as exc:
+        result = repr(exc)
+    return result, seen, rng.bit_generator.state
+
+
+@st.composite
+def small_gauss_pools(draw):
+    """n + 1 to n + 3 samples of a-rank n: most draws of n hold a repeat."""
+    n = draw(st.integers(2, 5))
+    values = [1 << j for j in range(n)] + draw(
+        st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3))
+    values = draw(st.permutations(values))
+    return [LpnSample(BitVec(n, v), draw(st.integers(0, 1))) for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_gauss_pools(), st.integers(1, 70), st.integers(1, 70), st.integers(1, 70),
+       st.integers(0, 2**32 - 1))
+def test_pooled_gauss_stops_leave_the_generator_as_one_call_per_draw(
+        pool, max_loops, accept_at, raise_at, seed):
+    """Success, max_loops and a verifier that raises mid-block each leave the
+    same result, candidates and generator state as one call per draw."""
+    args = (pool, seed, max_loops, accept_at, raise_at)
+    assert gauss_outcome(pooled_gauss_lpn, *args) == gauss_outcome(reference_pooled_gauss, *args)
+
+
+@pytest.mark.parametrize("max_loops", BLOCK_EDGES + (70,))
+def test_pooled_lsn_at_max_loops_leaves_the_generator_as_one_call_per_draw(max_loops):
+    """A pool spanning the complement of 0110 never yields the period 0011."""
+    f = SimonFunction.default(4)
+    values = [v for v in range(16) if bin(v & 0b0110).count("1") % 2 == 0]
+    rng, ref = np.random.default_rng(max_loops), np.random.default_rng(max_loops)
+    with pytest.raises(SolveFailure, match=f"within {max_loops} loops"):
+        pooled_lsn(f, SamplePool.from_ints(4, values), rng, max_loops)
+    for _ in range(max_loops):
+        reference_draw_distinct(ref, len(values), 3)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def reference_majority_verifier(heldout, tau):
+    """The held-out mismatch rate as a numpy mean over int64 arrays."""
+    a_vals = np.array([smp.a.value for smp in heldout], dtype=np.int64)
+    b_vals = np.array([smp.b for smp in heldout], dtype=np.int64)
+    threshold = (tau + 0.5) / 2.0
+
+    def verify(cand: BitVec) -> bool:
+        mism = (parity(a_vals & cand.value) ^ b_vals).mean()
+        return bool(mism < threshold)
+
+    return verify
+
+
+@st.composite
+def heldout_sets(draw):
+    n = draw(st.integers(0, 8))
+    size = draw(st.integers(1, 200))
+    a = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=size, max_size=size))
+    b = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+    return n, [LpnSample(BitVec(n, x), y) for x, y in zip(a, b)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(heldout_sets(), st.one_of(st.just(0.0), st.floats(0.0, 0.5, exclude_max=True)))
+def test_bitsliced_verifier_matches_numpy_mean(case, tau):
+    n, heldout = case
+    got, want = majority_verifier(heldout, tau), reference_majority_verifier(heldout, tau)
+    for s in range(1 << n):
+        assert got(BitVec(n, s)) == want(BitVec(n, s))
+
+
+def test_bitsliced_verifier_matches_numpy_mean_at_the_threshold():
+    """At tau = 0.3 the threshold is 0.4, and 0 has 2 mismatches in 5."""
+    heldout = [LpnSample(BitVec(3, a), b) for a, b in ((1, 1), (2, 0), (3, 1), (4, 0), (5, 0))]
+    mism = [sum(bin(smp.a.value & s).count("1") % 2 != smp.b for smp in heldout)
+            for s in range(8)]
+    assert mism[0] == 2
+    for tau in (0.3, 0.0):
+        got, want = majority_verifier(heldout, tau), reference_majority_verifier(heldout, tau)
+        decisions = [got(BitVec(3, s)) for s in range(8)]
+        assert decisions == [want(BitVec(3, s)) for s in range(8)]
+        assert decisions == [m / 5 < (tau + 0.5) / 2 for m in mism]

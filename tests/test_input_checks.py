@@ -10,7 +10,7 @@ from noisysimon.multiset import MeasurementMultiset
 from noisysimon.reductions import LpnSample, chi_square_check, lpn_sample_to_lsn, lsn_sample_to_lpn
 from noisysimon.simon import SimonFunction
 from noisysimon.smoothing import hamming_smooth
-from noisysimon.solvers import pooled_gauss_lpn
+from noisysimon.solvers import majority_verifier, pooled_gauss_lpn
 from noisysimon.stats import chi_square_gof, kl_divergence, kolmogorov_distance
 
 rng = np.random.default_rng(0)
@@ -45,6 +45,12 @@ lpn = LpnSample(BitVec(3, 1), 0)
     (lambda: pooled_gauss_lpn([], lambda s: True, rng), ValueError, "empty pool"),
     (lambda: pooled_gauss_lpn([lpn, lpn], lambda s: True, rng), ValueError,
      "pool of 2 cannot determine 3 unknowns"),
+    (lambda: majority_verifier([lpn, LpnSample(BitVec(4, 1), 0)], 0.1), DimensionError,
+     "held-out samples differ in length from n=3"),
+    (lambda: majority_verifier([lpn, LpnSample(BitVec(3, 2), 2)], 0.1), ValueError,
+     "a held-out label is not 0 or 1"),
+    (lambda: majority_verifier([lpn], 0.1)(BitVec(2, 1)), DimensionError,
+     "candidate length 2 != held-out n=3"),
     (lambda: hamming_smooth(MeasurementMultiset(3, {1: 1}), BitVec(2, 1)), ValueError,
      "shift length 2 != outcome length 3"),
 ])
