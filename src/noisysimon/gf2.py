@@ -28,6 +28,12 @@ class CapacityError(ValueError):
     reasonable time, or an array would be too large to hold."""
 
 
+def check_dense(n: int) -> None:
+    """Refuse a dense 2^n array wider than MAX_DENSE_BITS, before it is made."""
+    if n > MAX_DENSE_BITS:
+        raise CapacityError(f"n={n} exceeds the {MAX_DENSE_BITS}-bit dense distribution limit")
+
+
 def parity(a: np.ndarray) -> np.ndarray:
     """Elementwise parity (popcount mod 2) of a nonnegative int array."""
     return np.bitwise_count(a) & 1

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gf2 import BitVec, CapacityError, orthogonal_basis, parity
+from .gf2 import BitVec, CapacityError, check_dense, orthogonal_basis, parity
 from .multiset import EmptyMultisetError, MeasurementMultiset
 
 MAX_PACKED_BITS = 63  # samples are packed into int64
@@ -39,6 +39,7 @@ class LsnParams:
 
 def model_distribution(params: LsnParams) -> np.ndarray:
     """Exact two-level outcome distribution."""
+    check_dense(params.n)
     odd = parity(np.arange(1 << params.n, dtype=np.int64) & params.s.value)
     scale = 1.0 / (1 << (params.n - 1))
     return np.where(odd == 0, (1.0 - params.tau) * scale, params.tau * scale)

@@ -15,7 +15,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gf2 import BitVec, DimensionError, parity
+from .gf2 import BitVec, DimensionError, check_dense, parity
 from .lsn import LsnParams, model_distribution, sample_many
 from .multiset import read_table, write_table
 from .stats import chi_square_gof
@@ -81,6 +81,7 @@ def lpn_sample_to_lsn(sample: LpnSample, z: BitVec) -> BitVec:
 def lpn_model_distribution(params: LsnParams) -> np.ndarray:
     """Exact oracle distribution over (a, b), indexed a | b << n: uniform a,
     Bernoulli-tau label error."""
+    check_dense(params.n)
     label = parity(np.arange(1 << params.n) & params.s.value)
     p = np.array([1.0 - params.tau, params.tau]) / (1 << params.n)  # label right, label wrong
     return np.concatenate([p[label], p[label ^ 1]])
@@ -146,53 +147,14 @@ def solve_lpn_via_lsn(
 
 
 # ---------------------------------------------------------------------------
-# Statistical verification helpers (projection cells for chi-square at large n)
+# Statistical verification (chi-square cells at large n)
 
 
-def projection_functionals(n: int, k: int, exclude: Optional[BitVec] = None) -> List[int]:
-    """k standard-basis functionals, linearly independent modulo {exclude}.
-
-    Evaluating them on a vector uniform over either coset of exclude^perp
-    yields a uniform k-bit cell index. Unit vectors span exclude exactly
-    when they cover its set coordinates, so the first k of them, skipping
-    the highest set coordinate of exclude, are the lowest such choice.
-    """
-    top = exclude.value.bit_length() - 1 if exclude is not None else -1
-    chosen = [1 << j for j in range(n) if j != top][:k]
-    if len(chosen) < k:
-        raise ValueError(f"cannot find {k} independent functionals")
-    return chosen
-
-
-def _projection_counts(
-    err: np.ndarray, x: np.ndarray, params: LsnParams, k: int, exclude: Optional[BitVec]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Counts of the cells (err bit, k-bit projection of x) and their model
-    probabilities."""
-    idx = (np.asarray(err, dtype=np.int64) & 1) << k
-    for i, u in enumerate(projection_functionals(params.n, k, exclude=exclude)):
-        idx |= parity(x & u).astype(np.int64) << i
-    probs = np.empty(2 << k)
-    probs[: 1 << k] = (1.0 - params.tau) / (1 << k)
-    probs[1 << k :] = params.tau / (1 << k)
-    return np.bincount(idx, minlength=2 << k), probs
-
-
-def lsn_projection_counts(
-    outcomes: np.ndarray, params: LsnParams, k: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Bucket samples by (orthogonality bit, k-bit projection); return
-    (counts, expected probabilities) for a goodness-of-fit test."""
-    y = np.asarray(outcomes, dtype=np.int64)
-    return _projection_counts(parity(y & params.s.value), y, params, k, params.s)
-
-
-def lpn_projection_counts(
-    a: np.ndarray, b: np.ndarray, params: LsnParams, k: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Bucket parity samples by (label error, k-bit projection of a)."""
-    a = np.asarray(a, dtype=np.int64)
-    return _projection_counts(parity(a & params.s.value) ^ b, a, params, k, None)
+def _cells(err: np.ndarray, x: np.ndarray, k: int, skip: int) -> np.ndarray:
+    """Counts of the cells (error bit, the k lowest coordinates of x other than
+    coordinate `skip`), indexed err << k | those coordinates in order."""
+    low = x & ((1 << skip) - 1) | (x >> (skip + 1)) << skip
+    return np.bincount(err.astype(np.int64) << k | low & ((1 << k) - 1), minlength=2 << k)
 
 
 def chi_square_check(
@@ -203,11 +165,13 @@ def chi_square_check(
     To parity: `samples` model samples become (y + b z, b). To subspace: as
     many parity-oracle samples (uniform a, label <a, s> flipped with
     probability tau) become a + b z. Each side is bucketed by its error bit
-    and a projection onto min(8, n - 1) coordinates. ValueError is raised
-    when the smallest cell would expect fewer than 5 samples, the usual rule
-    below which a chi-square test has no power.
+    and k = min(8, n - 1) coordinates, uniform and independent of that bit
+    under the model: the k lowest of a, and the k lowest of a + b z other
+    than the top set coordinate of s, so that s is not in their span.
+    ValueError is raised when the smallest cell would expect fewer than 5
+    samples, the usual rule below which a chi-square test has no power.
     """
-    n, k = params.n, min(8, params.n - 1)
+    n, k, sv = params.n, min(8, params.n - 1), params.s.value
     if params.tau == 0:
         raise ValueError("the chi-square check needs tau > 0: half its cells expect no samples")
     need = math.ceil(5 * (1 << k) / params.tau)  # tau / 2^k is the smallest cell
@@ -216,9 +180,11 @@ def chi_square_check(
             f"{samples} samples are too few for the chi-square check at n={n}, "
             f"tau={params.tau}: it needs at least {need}"
         )
+    probs = np.repeat([1.0 - params.tau, params.tau], 1 << k) / (1 << k)
     a, b = lsn_samples_to_lpn(sample_many(params, samples, rng), z, rng)
-    _, p_parity = chi_square_gof(*lpn_projection_counts(a, b, params, k))
+    _, p_parity = chi_square_gof(_cells(parity(a & sv) ^ b, a, k, k), probs)
     a = rng.integers(0, 1 << n, size=samples)
-    b = parity(a & params.s.value).astype(np.int64) ^ (rng.random(samples) < params.tau)
-    _, p_subspace = chi_square_gof(*lsn_projection_counts(a ^ (b * z.value), params, k))
+    b = parity(a & sv).astype(np.int64) ^ (rng.random(samples) < params.tau)
+    y = a ^ (b * z.value)
+    _, p_subspace = chi_square_gof(_cells(parity(y & sv), y, k, sv.bit_length() - 1), probs)
     return p_parity, p_subspace

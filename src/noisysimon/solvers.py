@@ -261,6 +261,7 @@ def majority_verifier(
     to one half. The held-out set is held bitsliced in Python ints: bit i of
     column 1 << j is bit j of sample i's a, and bit i of the labels its b. A
     candidate's parities are the XOR of its columns, its mismatches one popcount."""
+    _validate_tau(tau)
     if not heldout:
         raise ValueError("empty held-out set: no candidate could be verified")
     n = heldout[0].a.n

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuits import CNOT, Circuit, H, X
-from .gf2 import MAX_DENSE_BITS, CapacityError, solve_ints
+from .gf2 import MAX_DENSE_BITS, CapacityError, check_dense, solve_ints
 
 
 def pauli_frames(circuit: Circuit):
@@ -103,6 +103,7 @@ def frames_and_support(circuit: Circuit):
 def exact_output_distribution(circuit: Circuit) -> np.ndarray:
     """Exact outcome distribution of the measured wires: 1/K on the K
     outcomes of the support, 0 elsewhere (a dense array of 2^m entries)."""
+    check_dense(len(circuit.measured))
     support = output_support(circuit)
     dist = np.zeros(1 << len(circuit.measured))
     dist[support] = 1.0 / support.size

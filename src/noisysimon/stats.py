@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import MAX_DENSE_BITS, CapacityError
+from .gf2 import check_dense
 from .lsn import LsnParams, estimate_tau, model_distribution
 from .multiset import EmptyMultisetError, MeasurementMultiset
 
@@ -49,6 +49,7 @@ def kolmogorov_distance(p: np.ndarray, q: np.ndarray) -> float:
 def empirical_distribution(m: MeasurementMultiset) -> np.ndarray:
     if m.total == 0:
         raise EmptyMultisetError("empty multiset has no distribution")
+    check_dense(m.n)
     out = np.zeros(1 << m.n)
     for o, c in m.counts.items():
         out[o] = c
@@ -73,8 +74,6 @@ def quality_report(m: MeasurementMultiset, params: LsnParams) -> QualityReport:
     `DivergenceError`, saying how many such outcomes there are. Both are
     dense 2^n arrays: n above MAX_DENSE_BITS raises `CapacityError`.
     """
-    if m.n > MAX_DENSE_BITS:
-        raise CapacityError(f"n={m.n} exceeds the {MAX_DENSE_BITS}-bit dense distribution limit")
     tau_hat = estimate_tau(m, params.s)
     model = model_distribution(params.with_tau(tau_hat))
     emp = empirical_distribution(m)

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from .circuits import CNOT, Circuit, Gate, H, X, build_simon_circuit, simon_wire_labels
-from .gf2 import MAX_DENSE_BITS, CapacityError  # MAX_DENSE_BITS is re-exported
+from .gf2 import CapacityError
 from .simon import SimonFunction
 
 

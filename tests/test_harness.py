@@ -227,6 +227,19 @@ def test_reduction_check_exact_and_statistical(tmp_path):
                  "--tau", "0.1", "--samples", "40000"]) == 0
 
 
+@pytest.mark.parametrize("n, statistics", [
+    (5, ["0.8369", "0.9305"]),
+    (9, ["0.4022", "0.5265"]),
+    (16, ["0.5978", "0.2873"]),
+])
+def test_reduction_check_p_values_at_the_default_seed(tmp_path, n, statistics):
+    """The chi-square p-values the command writes at the default seed and
+    sample count, as computed with one parity pass per projected coordinate."""
+    assert main(["--out-dir", str(tmp_path), "reduction-check", "--n", str(n)]) == 0
+    rows = read_rows(tmp_path / "reduction_check.csv")
+    assert [r["statistic"] for r in rows] == statistics
+
+
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_reduction_check_chi_square_below_nine_bits(tmp_path, n):
     """Projections use min(8, n - 1) coordinates, so 4 < n < 9 runs too."""

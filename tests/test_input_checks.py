@@ -4,18 +4,23 @@ input raises its own one-line error, before any work is done."""
 import numpy as np
 import pytest
 
-from noisysimon.gf2 import BitVec, DimensionError
-from noisysimon.lsn import LsnParams
+from noisysimon.circuits import Circuit
+from noisysimon.gf2 import BitVec, CapacityError, DimensionError
+from noisysimon.lsn import LsnParams, model_distribution
 from noisysimon.multiset import MeasurementMultiset
-from noisysimon.reductions import LpnSample, chi_square_check, lpn_sample_to_lsn, lsn_sample_to_lpn
+from noisysimon.reductions import (LpnSample, chi_square_check, lpn_model_distribution,
+                                   lpn_sample_to_lsn, lsn_sample_to_lpn)
 from noisysimon.simon import SimonFunction
 from noisysimon.smoothing import hamming_smooth
 from noisysimon.solvers import majority_verifier, pooled_gauss_lpn
-from noisysimon.stats import chi_square_gof, kl_divergence, kolmogorov_distance
+from noisysimon.statevector import exact_output_distribution
+from noisysimon.stats import (chi_square_gof, empirical_distribution, kl_divergence,
+                              kolmogorov_distance)
 
 rng = np.random.default_rng(0)
 half, quarter = np.full(2, 0.5), np.full(4, 0.25)
 lpn = LpnSample(BitVec(3, 1), 0)
+wide = LsnParams(25, 0.1, BitVec(25, 3))  # 2^25 entries: refused before any array is made
 
 
 @pytest.mark.parametrize("make, error, message", [
@@ -51,6 +56,17 @@ lpn = LpnSample(BitVec(3, 1), 0)
      "a held-out label is not 0 or 1"),
     (lambda: majority_verifier([lpn], 0.1)(BitVec(2, 1)), DimensionError,
      "candidate length 2 != held-out n=3"),
+    (lambda: majority_verifier([lpn], 0.5), ValueError, r"tau=0.5 outside \[0, 1/2\)"),
+    (lambda: majority_verifier([lpn], 0.9), ValueError, r"tau=0.9 outside \[0, 1/2\)"),
+    (lambda: majority_verifier([lpn], -1), ValueError, r"tau=-1 outside \[0, 1/2\)"),
+    (lambda: model_distribution(wide), CapacityError,
+     "n=25 exceeds the 24-bit dense distribution limit"),
+    (lambda: lpn_model_distribution(wide), CapacityError,
+     "n=25 exceeds the 24-bit dense distribution limit"),
+    (lambda: exact_output_distribution(Circuit(25, (), tuple(range(25)))), CapacityError,
+     "n=25 exceeds the 24-bit dense distribution limit"),
+    (lambda: empirical_distribution(MeasurementMultiset(25, {3: 1})), CapacityError,
+     "n=25 exceeds the 24-bit dense distribution limit"),
     (lambda: hamming_smooth(MeasurementMultiset(3, {1: 1}), BitVec(2, 1)), ValueError,
      "shift length 2 != outcome length 3"),
 ])

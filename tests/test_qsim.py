@@ -18,13 +18,12 @@ from noisysimon.circuits import (
     append_measurement_flips,
     build_simon_circuit,
 )
-from noisysimon.gf2 import BitVec
+from noisysimon.gf2 import MAX_DENSE_BITS, BitVec
 from noisysimon.lsn import estimate_tau
 from noisysimon.multiset import MeasurementMultiset
 from noisysimon.noise import NoiseParams, sample_noisy, sample_noisy_batch
 from noisysimon.simon import SimonFunction
 from noisysimon import CapacityError
-from noisysimon.transpile import MAX_DENSE_BITS
 from noisysimon.statevector import (
     circuits_equivalent,
     exact_output_distribution,

@@ -2,20 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from noisysimon.gf2 import BitVec
+from noisysimon.gf2 import BitVec, parity
 from noisysimon.lsn import LsnParams, model_distribution, sample_many
 from noisysimon.reductions import (
     LpnSample,
     SolveFailure,
+    _cells,
     chi_square_check,
     lpn_model_distribution,
-    lpn_projection_counts,
     lpn_sample_to_lsn,
-    lsn_projection_counts,
     lsn_sample_to_lpn,
     lsn_samples_to_lpn,
-    projection_functionals,
     solve_lpn_via_lsn,
     solve_lsn_via_lpn,
     transformed_lpn_distribution,
@@ -87,9 +87,11 @@ def test_chi_square_both_directions_at_n16():
     z = BitVec(n, 0b101)
     assert z.inner(s) == 1
 
+    k = 8
+    probs = np.concatenate([np.full(1 << k, (1 - tau) / (1 << k)), np.full(1 << k, tau / (1 << k))])
     ys = sample_many(params, 100_000, rng)
     b = rng.integers(0, 2, size=ys.size)
-    cells, probs = lpn_projection_counts(ys ^ (b * z.value), b, params, k=8)
+    cells = lpn_cells(ys ^ (b * z.value), b, params, k)
     _, p1 = chi_square_gof(cells, probs)
     assert p1 > 0.01
 
@@ -99,8 +101,8 @@ def test_chi_square_both_directions_at_n16():
     for sh in (32, 16, 8, 4, 2, 1):
         par ^= par >> sh
     bv = (par & 1) ^ eps
-    cells2, probs2 = lsn_projection_counts(av ^ (bv * z.value), params, k=8)
-    _, p2 = chi_square_gof(cells2, probs2)
+    cells2 = lsn_cells(av ^ (bv * z.value), params, k)
+    _, p2 = chi_square_gof(cells2, probs)
     assert p2 > 0.01
 
     again = np.random.default_rng(42)
@@ -112,9 +114,15 @@ def _scalar_parity(v: int) -> int:
     return bin(v).count("1") & 1
 
 
+def _unit_functionals(n, k, skip):
+    """The first k unit vectors of F_2^n other than coordinate `skip`."""
+    return [1 << j for j in range(n) if j != skip][:k]
+
+
 def reference_lsn_projection_counts(outcomes, params, k):
-    """The per-sample loop the array form replaced."""
-    funcs = projection_functionals(params.n, k, exclude=params.s)
+    """The per-sample loop the array form replaced: cells (error bit, k unit
+    functionals skipping the top set coordinate of s)."""
+    funcs = _unit_functionals(params.n, k, params.s.value.bit_length() - 1)
     cells = np.zeros(2 << k, dtype=np.int64)
     for y in np.asarray(outcomes, dtype=np.int64):
         e = _scalar_parity(int(y) & params.s.value)
@@ -126,7 +134,7 @@ def reference_lsn_projection_counts(outcomes, params, k):
 
 
 def reference_lpn_projection_counts(samples, params, k):
-    funcs = projection_functionals(params.n, k)
+    funcs = _unit_functionals(params.n, k, -1)
     cells = np.zeros(2 << k, dtype=np.int64)
     for a, b in samples:
         e = (_scalar_parity(a.value & params.s.value) ^ b) & 1
@@ -137,19 +145,47 @@ def reference_lpn_projection_counts(samples, params, k):
     return cells
 
 
+def lsn_cells(ys, params, k):
+    sv = params.s.value
+    return _cells(parity(ys & sv), ys, k, skip=sv.bit_length() - 1)
+
+
+def lpn_cells(a, b, params, k):
+    return _cells(parity(a & params.s.value) ^ b, a, k, skip=k)
+
+
 @pytest.mark.parametrize("n", [2, 5, 9, 16])
 def test_projection_counts_match_per_sample_loop(n):
     rng = np.random.default_rng(n)
     params = LsnParams(n, 0.2, BitVec(n, int(rng.integers(1, 1 << n))))
     k = min(8, n - 1)
     ys = sample_many(params, 3000, rng)
-    cells, probs = lsn_projection_counts(ys, params, k)
+    cells = lsn_cells(ys, params, k)
     assert np.array_equal(cells, reference_lsn_projection_counts(ys, params, k))
-    assert cells.dtype == np.int64 and probs.sum() == pytest.approx(1.0)
+    assert cells.dtype == np.int64
     a, b = rng.integers(0, 1 << n, size=3000), rng.integers(0, 2, size=3000)
     samples = [LpnSample(BitVec(n, int(av)), int(bv)) for av, bv in zip(a, b)]
-    cells, _ = lpn_projection_counts(a, b, params, k)
+    cells = lpn_cells(a, b, params, k)
     assert np.array_equal(cells, reference_lpn_projection_counts(samples, params, k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 20), data=st.data())
+def test_cells_match_per_sample_loops(n, data):
+    """Both directions, with the top set coordinate of s at 0, inside the
+    first k coordinates, or at or above k (above it from n = 10 on)."""
+    k = min(8, n - 1)
+    top = data.draw(st.one_of(st.just(0), st.integers(0, k - 1), st.integers(k, n - 1)),
+                    label="top set coordinate of s")
+    s = BitVec(n, 1 << top | data.draw(st.integers(0, (1 << top) - 1), label="low bits of s"))
+    params = LsnParams(n, 0.2, s)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    ys = sample_many(params, 200, rng)
+    assert np.array_equal(lsn_cells(ys, params, k), reference_lsn_projection_counts(ys, params, k))
+    a, b = rng.integers(0, 1 << n, size=200), rng.integers(0, 2, size=200)
+    samples = [LpnSample(BitVec(n, int(av)), int(bv)) for av, bv in zip(a, b)]
+    assert np.array_equal(lpn_cells(a, b, params, k),
+                          reference_lpn_projection_counts(samples, params, k))
 
 
 @pytest.mark.parametrize("count", [1, 3, 63, 1001, 16384])
