@@ -29,7 +29,7 @@ from .transpile import (
     route,
     search_min_configuration,
 )
-from .lsn import LsnParams, estimate_tau, model_distribution, sample, sample_many
+from .lsn import LsnParams, estimate_tau, model_distribution, sample_many
 from .smoothing import (
     choose_hamming_vector,
     double_flip,

@@ -105,11 +105,6 @@ class Circuit:
             tuple(labels) if labels is not None else None,
         )
 
-    @classmethod
-    def from_json_file(cls, path: str | Path) -> "Circuit":
-        """Read a circuit written by `to_json(path)`."""
-        return cls.from_json(Path(path).read_text())
-
 
 def simon_wire_labels(n: int) -> Tuple[str, ...]:
     return tuple(f"x{j}" for j in range(n)) + tuple(f"y{j}" for j in range(n))

@@ -17,6 +17,12 @@ from .multiset import EmptyMultisetError, MeasurementMultiset
 MAX_PACKED_BITS = 63  # samples are packed into int64
 
 
+def check_tau(tau: float) -> None:
+    """Refuse an error rate tau unless 0 <= tau < 1/2, where samples carry the period."""
+    if not 0.0 <= tau < 0.5:
+        raise ValueError(f"tau={tau} outside [0, 1/2)")
+
+
 @dataclass(frozen=True)
 class LsnParams:
     n: int
@@ -26,8 +32,7 @@ class LsnParams:
     def __post_init__(self) -> None:
         if self.n > MAX_PACKED_BITS:
             raise CapacityError(f"n={self.n} exceeds the {MAX_PACKED_BITS}-bit int64 sample packing")
-        if not 0.0 <= self.tau < 0.5:
-            raise ValueError(f"tau={self.tau} outside [0, 1/2)")
+        check_tau(self.tau)
         if self.s.n != self.n:
             raise ValueError(f"period length {self.s.n} != n={self.n}")
         if self.s.value == 0:
@@ -60,10 +65,6 @@ def sample_many(params: LsnParams, count: int, rng: np.random.Generator) -> np.n
     errors = rng.random(count) < params.tau
     out[errors] ^= shift
     return out
-
-
-def sample(params: LsnParams, rng: np.random.Generator) -> BitVec:
-    return BitVec(params.n, int(sample_many(params, 1, rng)[0]))
 
 
 def sample_multiset(params: LsnParams, count: int, rng: np.random.Generator) -> MeasurementMultiset:

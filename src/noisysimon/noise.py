@@ -82,6 +82,9 @@ class NoiseParams:
     default_p10: float = 0.0
 
     def __post_init__(self) -> None:
+        for pair in self.readout:
+            if len(pair) != 2:
+                raise ValueError(f"malformed readout entry {list(pair)}: not a (p01, p10) pair")
         probs = [self.eps1, self.eps2, self.crosstalk, self.default_p01, self.default_p10]
         probs += [p for pair in self.readout for p in pair]
         for p in probs:
@@ -91,18 +94,6 @@ class NoiseParams:
     @classmethod
     def ideal(cls) -> "NoiseParams":
         return cls()
-
-    @classmethod
-    def uniform(cls, eps1: float, p01: float, p10: float, crosstalk: float = 0.0) -> "NoiseParams":
-        """Same readout on every qubit; eps2 is ten times eps1."""
-        return cls(
-            eps1=eps1,
-            eps2=10.0 * eps1,
-            crosstalk=crosstalk,
-            readout=(),
-            default_p01=p01,
-            default_p10=p10,
-        )
 
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseParams":
@@ -117,15 +108,11 @@ class NoiseParams:
             raise ValueError(f"unknown noise parameters {unknown}; the known ones are {names}")
         try:
             eps1 = d.get("eps1", 0.0)
-            readout = tuple(map(tuple, d.get("readout", [])))
-            for pair in readout:
-                if len(pair) != 2:
-                    raise ValueError(f"malformed readout entry {list(pair)}: not a (p01, p10) pair")
             return cls(
                 eps1=eps1,
                 eps2=d.get("eps2", 10.0 * eps1),
                 crosstalk=d.get("crosstalk", 0.0),
-                readout=readout,
+                readout=tuple(map(tuple, d.get("readout", []))),
                 default_p01=d.get("default_p01", 0.0),
                 default_p10=d.get("default_p10", 0.0),
             )
@@ -147,8 +134,7 @@ class NoiseParams:
 
 def default_noise() -> NoiseParams:
     """Calibration shipped with the package (see data/default_noise.json)."""
-    ref = importlib.resources.files("noisysimon.data") / "default_noise.json"
-    return NoiseParams.from_dict(json.loads(ref.read_text()))
+    return NoiseParams.from_json(importlib.resources.files("noisysimon.data") / "default_noise.json")
 
 
 def _both(first, second) -> tuple:

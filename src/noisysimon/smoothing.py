@@ -85,21 +85,23 @@ def permutation_configurations(
 ) -> List[Configuration]:
     """Norm-preserving reshuffles of the minimum-norm configuration `base`.
 
-    Each draw flips a coin to swap the two control-register wires and applies
-    a random permutation to the remaining register pairs, relabeling which
+    Both moves come from the period s. When s has exactly two set bits, the
+    circuit treats their x wires alike, and each draw flips a coin to swap
+    them. Each draw then applies a random permutation to the (x_j, y_j) pairs
+    with s_j = 0, which the circuit also treats alike, relabeling which
     logical pair sits on which physical pair of qubits. `graph` is not read:
     a relabelling of `base` keeps its wires on the same device edges.
     """
     assign = base.as_dict()
-    n = f.n
+    ones = [j for j in range(f.n) if f.s[j]]
+    idx = [j for j in range(f.n) if not f.s[j]]
     out = []
     for _ in range(count):
         new = dict(assign)
-        if rng.integers(0, 2) == 1:
-            new["x0"], new["x1"] = assign["x1"], assign["x0"]
-        idx = list(range(2, n))
-        perm = list(rng.permutation(idx)) if idx else []
-        for j, pj in zip(idx, perm):
+        if len(ones) == 2 and rng.integers(0, 2) == 1:
+            a, b = ones
+            new[f"x{a}"], new[f"x{b}"] = assign[f"x{b}"], assign[f"x{a}"]
+        for j, pj in zip(idx, rng.permutation(idx)):
             new[f"x{j}"] = assign[f"x{int(pj)}"]
             new[f"y{j}"] = assign[f"y{int(pj)}"]
         out.append(Configuration.from_dict(new))

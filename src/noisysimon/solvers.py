@@ -17,6 +17,7 @@ import numpy as np
 
 from .gf2 import (MAX_DENSE_BITS, BitVec, CapacityError, DimensionError, nullspace_ints,
                   rank_ints, solve_ints)
+from .lsn import check_tau
 from .multiset import MeasurementMultiset
 from .reductions import LpnSample, SolveFailure
 from .simon import SimonFunction
@@ -261,7 +262,7 @@ def majority_verifier(
     to one half. The held-out set is held bitsliced in Python ints: bit i of
     column 1 << j is bit j of sample i's a, and bit i of the labels its b. A
     candidate's parities are the XOR of its columns, its mismatches one popcount."""
-    _validate_tau(tau)
+    check_tau(tau)
     if not heldout:
         raise ValueError("empty held-out set: no candidate could be verified")
     n = heldout[0].a.n
@@ -290,20 +291,15 @@ def majority_verifier(
 # Cost models
 
 
-def _validate_tau(tau: float) -> None:
-    if not 0.0 <= tau < 0.5:
-        raise ValueError(f"tau={tau} outside [0, 1/2)")
-
-
 def runtime_exponent_pooled(tau: float) -> float:
     """Per-bit runtime exponent log2(1/(1-tau)) of the plain pooled solver."""
-    _validate_tau(tau)
+    check_tau(tau)
     return math.log2(1.0 / (1.0 - tau))
 
 
 def runtime_exponent_wellpooled(tau: float) -> float:
     """Per-bit exponent 1 - 1/(1 + log2(1/(1-tau))) of the well-pooled variant."""
-    _validate_tau(tau)
+    check_tau(tau)
     return 1.0 - 1.0 / (1.0 + math.log2(1.0 / (1.0 - tau)))
 
 
@@ -318,13 +314,11 @@ def independence_probability(dim: int, draws: int) -> float:
 def expected_pooled_lsn_loops(n: int, tau: float) -> float:
     """1 / ((1-tau)^(n-1) * q) where q is the independence probability of
     n-1 uniform draws from the orthogonal subspace."""
-    _validate_tau(tau)
-    if n == 1:
-        return 1.0
+    check_tau(tau)
     return 1.0 / ((1.0 - tau) ** (n - 1) * independence_probability(n - 1, n - 1))
 
 
 def expected_pooled_gauss_loops(n: int, tau: float) -> float:
     """1 / ((1-tau)^n * q) with q the invertibility probability of n uniform draws."""
-    _validate_tau(tau)
+    check_tau(tau)
     return 1.0 / ((1.0 - tau) ** n * independence_probability(n, n))

@@ -126,9 +126,7 @@ class TopologyGraph:
 
 def melbourne_topology() -> TopologyGraph:
     """The 15-qubit two-row device graph used by all shipped experiments."""
-    ref = importlib.resources.files("noisysimon.data") / "melbourne.json"
-    d = json.loads(ref.read_text())
-    return TopologyGraph.from_edges(d["vertices"], d["edges"])
+    return TopologyGraph.from_json(importlib.resources.files("noisysimon.data") / "melbourne.json")
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +187,6 @@ class Configuration:
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self.items)
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "Configuration":
-        return cls.from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

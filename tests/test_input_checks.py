@@ -8,6 +8,7 @@ from noisysimon.circuits import Circuit
 from noisysimon.gf2 import BitVec, CapacityError, DimensionError
 from noisysimon.lsn import LsnParams, model_distribution
 from noisysimon.multiset import MeasurementMultiset
+from noisysimon.noise import NoiseParams
 from noisysimon.reductions import (LpnSample, chi_square_check, lpn_model_distribution,
                                    lpn_sample_to_lsn, lsn_sample_to_lpn)
 from noisysimon.simon import SimonFunction
@@ -35,6 +36,10 @@ wide = LsnParams(25, 0.1, BitVec(25, 3))  # 2^25 entries: refused before any arr
     (lambda: SimonFunction.default(3).verify_period(BitVec(2, 1)), DimensionError,
      "candidate length 2 != n=3"),
     (lambda: LsnParams(3, 0.1, BitVec(2, 1)), ValueError, "period length 2 != n=3"),
+    (lambda: NoiseParams(readout=((0.1,),)), ValueError,
+     r"malformed readout entry \[0.1\]: not a \(p01, p10\) pair"),
+    (lambda: NoiseParams(readout=((0.1, 0.2, 0.3),)), ValueError,
+     r"malformed readout entry \[0.1, 0.2, 0.3\]: not a \(p01, p10\) pair"),
     (lambda: kl_divergence(half, quarter), ValueError, "different outcome spaces"),
     (lambda: kolmogorov_distance(half, quarter), ValueError, "different outcome spaces"),
     (lambda: kl_divergence(np.array([1.5, -0.5]), half), ValueError, "negative probability"),

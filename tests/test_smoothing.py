@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from noisysimon.circuits import append_measurement_flips
-from noisysimon.gf2 import BitVec
+from noisysimon.gf2 import BitVec, CapacityError
 from noisysimon.lsn import LsnParams, estimate_tau, model_distribution, sample_multiset
 from noisysimon.multiset import MeasurementMultiset
 from noisysimon.noise import NoiseParams, sample_noisy
@@ -17,7 +17,8 @@ from noisysimon.smoothing import (
 )
 from noisysimon.statevector import exact_output_distribution
 from noisysimon.stats import kl_divergence, quality_report
-from noisysimon.transpile import Configuration, circuit_norm, compile_simon_circuit
+from noisysimon.transpile import (Configuration, circuit_norm, compile_simon_circuit,
+                                  search_min_configuration)
 
 
 def test_hamming_candidates_examples():
@@ -80,6 +81,54 @@ def test_permutation_configs_preserve_norm_and_vary(graph, compiled):
     assert len({c.items for c in cfgs}) > 1
     for c in cfgs[:6]:
         assert circuit_norm(compile_simon_circuit(f, graph, c)).value == cn.value
+
+
+def _fixed_wire_permutation_configurations(f, count, rng, base):
+    """Reference reshuffles on fixed wires: a coin swaps x0 and x1, and a
+    permutation moves the pairs 2..n-1. These are the moves of the default
+    function (s = 0b11, i = 0), and of no other period."""
+    assign = base.as_dict()
+    out = []
+    for _ in range(count):
+        new = dict(assign)
+        if rng.integers(0, 2) == 1:
+            new["x0"], new["x1"] = assign["x1"], assign["x0"]
+        idx = list(range(2, f.n))
+        perm = list(rng.permutation(idx)) if idx else []
+        for j, pj in zip(idx, perm):
+            new[f"x{j}"] = assign[f"x{int(pj)}"]
+            new[f"y{j}"] = assign[f"y{int(pj)}"]
+        out.append(Configuration.from_dict(new))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20260808])
+def test_default_function_reshuffles_match_the_fixed_wire_rule(graph, compiled, seed):
+    for n in range(2, 8):
+        f, cfg, _, _ = compiled[n]
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        cfgs = permutation_configurations(f, graph, 20, rng, base=cfg)
+        assert cfgs == _fixed_wire_permutation_configurations(f, 20, ref, cfg)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_permutation_configs_keep_the_minimum_norm_for_every_period(graph):
+    """Every period at n = 2..6 with a minimum placement the search can
+    find: each reshuffle compiles to the minimum norm."""
+    checked = 0
+    for n in range(2, 7):
+        for sv in range(1, 1 << n):
+            f = SimonFunction.from_period(BitVec(n, sv))
+            try:
+                cfg, cn = search_min_configuration(f, graph)
+            except CapacityError:
+                continue
+            rng = np.random.default_rng([n, sv])
+            for c in permutation_configurations(f, graph, 12, rng, base=cfg):
+                norm = circuit_norm(compile_simon_circuit(f, graph, c)).value
+                assert norm == cn.value, (n, f.s, c)
+            checked += 1
+    assert checked > 100
 
 
 def test_permutation_narrows_equal_weight_gaps(graph, noise, compiled):

@@ -64,6 +64,8 @@ def test_degenerate_dimension_returns_without_looping():
     f = SimonFunction(1, BitVec(1, 1), 0)
     s, cost = classical_period(f)
     assert s.value == 1 and cost.loop_count == 0
+    # the pooled-LSN model's general formula is exactly one loop at n=1
+    assert all(expected_pooled_lsn_loops(1, tau) == 1.0 for tau in (0.0, 0.1, 0.4999))
 
 
 def test_classical_period_refuses_a_dimension_it_cannot_hold():
