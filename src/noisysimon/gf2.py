@@ -39,7 +39,7 @@ def parity(a: np.ndarray) -> np.ndarray:
     return np.bitwise_count(a) & 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BitVec:
     """Element of F_2^n packed into a Python int."""
 
@@ -104,13 +104,10 @@ class BitVec:
 
 
 def _echelon(values: Sequence[int], n: int, stop: Optional[int] = None) -> List[int]:
-    """Reduced row echelon basis, one row per pivot (lowest set bit), unsorted;
-    with `stop`, that of the first rows of `values` that span `stop` dimensions.
-
-    Each row's pivot column is clear in every other row, so reducing a new
-    row takes one pass, and the rows are the unique reduced basis of the
-    row span whatever the order of `values`.
-    """
+    """Row echelon basis, one row per pivot (its lowest set bit), in the order
+    found; with `stop`, that of the first rows of `values` that span `stop`
+    dimensions. Each row's pivot is clear in every row found after it, so a
+    new row is reduced in one pass and no earlier row changes."""
     rows = {}  # pivot bit -> row
     for v in values:
         if len(rows) == stop:
@@ -119,11 +116,7 @@ def _echelon(values: Sequence[int], n: int, stop: Optional[int] = None) -> List[
             if v & bit:
                 v ^= row
         if v:
-            low = v & -v
-            for bit, row in rows.items():
-                if row & low:
-                    rows[bit] = row ^ v
-            rows[low] = v
+            rows[v & -v] = v
     return list(rows.values())
 
 
@@ -133,22 +126,27 @@ def rank_ints(values: Sequence[int], n: int, stop: Optional[int] = None) -> int:
     return len(_echelon(values, n, stop))
 
 
+def _back(basis: Sequence[int], x: int) -> int:
+    """`x` plus the pivots that make <x, row> = 0 for every row of an
+    `_echelon` basis, set last row first: a row's pivot is clear in the rows
+    after it, so its parity with x is final once they are done."""
+    for row in reversed(basis):
+        if (row & x).bit_count() & 1:
+            x |= row & -row
+    return x
+
+
 def _free(basis: Sequence[int], n: int) -> List[int]:
-    """Nullspace basis of the first n columns of a reduced echelon `basis`,
-    one vector per free column."""
-    pivots = 0
+    """Nullspace basis of the first n columns of an `_echelon` basis: for each
+    free column in ascending order, the vector with that column set and the
+    other free columns clear."""
+    free = (1 << n) - 1
     for row in basis:
-        pivots |= row & -row
+        free &= ~(row & -row)
     out = []
-    free = ~pivots & ((1 << n) - 1)
     while free:
-        bit = free & -free
-        free ^= bit
-        x = bit
-        for row in basis:
-            if row & bit:
-                x |= row & -row
-        out.append(x)
+        out.append(_back(basis, free & -free))
+        free &= free - 1
     return out
 
 
@@ -160,20 +158,22 @@ def nullspace_ints(values: Sequence[int], n: int) -> List[int]:
 def solve_ints(rows: Sequence[int], n: int) -> Tuple[Optional[int], List[int]]:
     """Solve <a_i, x> = b_i over F_2 for rows packed as a_i | b_i << n.
 
-    Returns (x, null): x is a solution, None if the system is inconsistent,
-    and null is a basis of the nullspace of the a_i, so the solutions are
-    x + span(null). In the reduced echelon basis every row has its own pivot
-    coordinate, so setting only the pivots of the rows labelled 1 solves all
-    of them. The label-only row 1 << n, whose pivot is the label itself,
-    means 0 = 1.
+    Returns (x, null): x is the solution with every free coordinate 0, None
+    if the system is inconsistent (the basis holds the label-only row 1 << n,
+    0 = 1), and null is a basis of the nullspace of the a_i, so the solutions
+    are x + span(null). The back pass takes the label as a coordinate set to 1.
     """
-    basis = _echelon(rows, n + 1)
-    label = 1 << n
-    x = 0
-    for row in basis:
-        if row & label:
-            x |= row & -row
-    return (None if x & label else x), _free(basis, n)
+    basis, label = _echelon(rows, n + 1), 1 << n
+    return (None if label in basis else _back(basis, label) ^ label), _free(basis, n)
+
+
+def solve_unique(rows: Sequence[int], n: int) -> Optional[int]:
+    """`solve_ints`' x if the a_i have rank n, else None; a singular or
+    inconsistent system costs the forward pass only."""
+    basis, label = _echelon(rows, n + 1), 1 << n
+    if len(basis) != n or label in basis:
+        return None
+    return _back(basis, label) ^ label
 
 
 def orthogonal_basis(s: BitVec) -> List[int]:

@@ -16,7 +16,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .gf2 import (MAX_DENSE_BITS, BitVec, CapacityError, DimensionError, nullspace_ints,
-                  rank_ints, solve_ints)
+                  rank_ints, solve_unique)
 from .lsn import check_tau
 from .multiset import MeasurementMultiset
 from .reductions import LpnSample, SolveFailure
@@ -229,11 +229,11 @@ def pooled_gauss_lpn(
     rng: np.random.Generator,
     max_loops: int = 1_000_000,
 ) -> Tuple[BitVec, CostReport]:
-    """Repeatedly draw n distinct parity samples, solve the linear system,
-    and return the first candidate the verifier accepts. A pool of exactly n
-    samples (or n = 0) allows one draw, taken without the generator;
-    SolveFailure follows at once if it fails. A larger pool whose a-parts have
-    rank below n has no solvable draw, and SolveFailure follows before any draw."""
+    """Repeatedly draw n distinct parity samples, solve the system if it has
+    full rank, and return the first nonzero candidate the verifier accepts. A
+    pool of exactly n samples (or n = 0) allows one draw, taken without the
+    generator, and SolveFailure follows at once if it fails; so it does before
+    any draw for a larger pool whose a-parts have rank below n."""
     if not pool:
         raise ValueError("empty pool")
     n = pool[0].a.n
@@ -247,8 +247,8 @@ def pooled_gauss_lpn(
                 f"the pool's a-parts have rank {rank} < {n}: no draw of {n} is solvable")
     with closing(_index_sets(rng, len(pool), n)) as draws:
         for loops, idx in zip(range(1, max_loops + 1), [range(n)] if one_draw else draws):
-            s, null = solve_ints([pool[i].a.value | (pool[i].b & 1) << n for i in idx], n)
-            if s is not None and not null and s != 0 and verifier(secret := BitVec(n, s)):
+            s = solve_unique([pool[i].a.value | (pool[i].b & 1) << n for i in idx], n)
+            if s and verifier(secret := BitVec(n, s)):
                 return secret, CostReport(loops, loops)
     if one_draw and max_loops > 0:
         raise SolveFailure(f"a pool of {len(pool)} allows one draw of {n}: no verified secret")

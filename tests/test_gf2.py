@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -106,3 +110,22 @@ def test_orthogonal_basis_inverts_exhaustively():
             for row in basis:
                 assert (row & sv).bit_count() % 2 == 0
 
+
+def test_bitvec_is_slotted_and_frozen():
+    v = bv("0110")
+    assert not hasattr(v, "__dict__")
+    assert type(v).__slots__ == ("n", "value")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.value = 1
+    # A new attribute is refused too; CPython's frozen __setattr__ for a
+    # slotted dataclass calls super() on the pre-slots class and raises
+    # TypeError there (FrozenInstanceError without slots).
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        v.extra = 1
+    with pytest.raises(TypeError):
+        v < bv("0111")
+    assert v == BitVec(4, 6) and v != BitVec(5, 6) and v != bv("0111")
+    assert hash(v) == hash(BitVec(4, 6)) == hash((4, 6))
+    assert repr(v) == "BitVec('0110')" and repr(BitVec.zeros(0)) == "BitVec('')"
+    for twin in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v), copy.copy(v)):
+        assert twin == v and type(twin) is BitVec and hash(twin) == hash(v)

@@ -8,10 +8,14 @@ drawn in two halves on two threads. `reference_embeddings` is the placement
 search without the forward check; the library's search must emit the same
 embeddings in the same order, and networkx's VF2 matcher must count as many.
 `reference_echelon` and `reference_solve_full_rank` are the eliminations with
-a separate back-substitution pass; the library's one-pass Gauss-Jordan form
-must give the same basis, `solve_ints` the same solution (and none for an
-inconsistent system), and the nullspace must span exactly the brute-force
-nullspace.
+a separate back-substitution pass; the library's forward form must find the
+same pivots and span, `solve_ints` and `solve_unique` the same solution (and
+none for an inconsistent system), and the nullspace must span exactly the
+brute-force nullspace. `reference_free_solution` and `reference_nullspace`
+pick, from the brute-force solution set, the vectors that `solve_ints` and
+`nullspace_ints` must return exactly (free coordinates 0, or one free
+coordinate set, in ascending order), since `lsn.sample_many` consumes the
+basis in order.
 `reference_exact_distribution` is the complex-amplitude statevector (moved
 axes, complex128 from |0...0>); the real-valued kernels of the statevector
 oracle (`statevector_oracle.py`) must give byte-identical outcome
@@ -61,7 +65,7 @@ from noisysimon.circuits import (
     append_measurement_flips,
     build_simon_circuit,
 )
-from noisysimon.gf2 import BitVec, _echelon, nullspace_ints, parity, solve_ints
+from noisysimon.gf2 import BitVec, _echelon, nullspace_ints, parity, solve_ints, solve_unique
 from noisysimon.noise import NoiseParams, _sample_chunk, _split_field
 from noisysimon.reductions import LpnSample, SolveFailure
 from noisysimon.simon import SimonFunction
@@ -604,6 +608,13 @@ def reference_echelon(values, n):
     return basis
 
 
+def span_of(rows):
+    span = {0}
+    for v in rows:
+        span |= {u ^ v for u in span}
+    return span
+
+
 @st.composite
 def row_sets(draw):
     n = draw(st.integers(1, 8))
@@ -614,15 +625,76 @@ def row_sets(draw):
 @given(row_sets())
 def test_echelon_and_nullspace_match_references(case):
     n, values = case
-    assert sorted(_echelon(values, n), key=lambda row: row & -row) == reference_echelon(values, n)
+    rows, ref = _echelon(values, n), reference_echelon(values, n)
+    pivots = [row & -row for row in rows]
+    assert len(set(pivots)) == len(pivots)
+    assert all(not row & bit for k, bit in enumerate(pivots) for row in rows[k + 1:])
+    assert span_of(rows) == span_of(ref)
+    assert set(pivots) == {row & -row for row in ref}
     null = nullspace_ints(values, n)
-    span = {0}
-    for v in null:
-        span |= {u ^ v for u in span}
+    span = span_of(null)
     assert len(span) == 1 << len(null)
     assert span == {
         x for x in range(1 << n) if all(bin(x & v).count("1") % 2 == 0 for v in values)
     }
+
+
+def parity_int(v):
+    return bin(v).count("1") % 2
+
+
+def free_columns(values, n):
+    """The columns, ascending, that carry no pivot of `reference_echelon`."""
+    pivots = {(row & -row).bit_length() - 1 for row in reference_echelon(values, n)}
+    return [j for j in range(n) if j not in pivots]
+
+
+def reference_nullspace(values, n):
+    """For each free column in ascending order, the one nullspace vector
+    with that column set and the other free columns clear, by brute force."""
+    free = sum(1 << j for j in free_columns(values, n))
+    null = [x for x in range(1 << n) if all(not parity_int(x & v) for v in values)]
+    return [next(x for x in null if x & free == 1 << j) for j in free_columns(values, n)]
+
+
+def reference_free_solution(rows, labels, n):
+    """The solution of <a_i, x> = b_i whose free coordinates are all 0, or
+    None if there is none, by brute force."""
+    free = sum(1 << j for j in free_columns(rows, n))
+    sols = [x for x in range(1 << n) if not x & free
+            and all(parity_int(a & x) == b for a, b in zip(rows, labels))]
+    assert len(sols) <= 1
+    return sols[0] if sols else None
+
+
+@settings(max_examples=400, deadline=None)
+@given(row_sets())
+@example((3, [0b011]))
+@example((4, [0b0110, 0b0110, 0]))
+def test_nullspace_basis_is_pinned_in_value_and_order(case):
+    n, values = case
+    assert nullspace_ints(values, n) == reference_nullspace(values, n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, 1)), max_size=n + 3),
+    st.sampled_from(["as drawn", "repeat with the other label", "label-only row"]),
+)))
+@example((3, [(0b011, 1), (0b110, 0)], "as drawn"))  # consistent, rank-deficient
+@example((3, [(0b011, 1), (0b110, 0), (0b101, 0)], "as drawn"))  # rank 2, inconsistent
+@example((2, [(0b01, 1), (0b10, 0), (0b11, 1), (0b01, 1)], "as drawn"))  # overdetermined
+def test_solve_ints_solution_is_pinned(case):
+    n, pairs, variant = case
+    if variant == "repeat with the other label" and pairs:
+        pairs = pairs + [(pairs[0][0], pairs[0][1] ^ 1)]
+    packed = [a | b << n for a, b in pairs] + ([1 << n] if variant == "label-only row" else [])
+    rows = [a for a, _ in pairs] + ([0] if variant == "label-only row" else [])
+    labels = [b for _, b in pairs] + ([1] if variant == "label-only row" else [])
+    x, null = solve_ints(packed, n)
+    assert x == reference_free_solution(rows, labels, n)
+    assert null == reference_nullspace(rows, n)
 
 
 def reference_solve_full_rank(rows, labels, n):
@@ -669,6 +741,33 @@ def test_solve_full_rank_matches_reference(case, label_bits):
     # no solution.
     assert solve_ints(packed + [rows[0] | (labels[0] ^ 1) << n], n)[0] is None
     assert solve_ints(packed + [1 << n], n)[0] is None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n + 3),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["as drawn", "zero row", "label-only row", "repeat with the other label"]),
+)))
+@example((0, [], 0, "as drawn"))
+@example((0, [0], 1, "as drawn"))
+@example((3, [0b001, 0b010, 0b100, 0], 0b101, "as drawn"))
+def test_solve_unique_matches_full_rank_reference(case):
+    n, rows, label_bits, variant = case
+    labels = [(label_bits >> i) & 1 for i in range(len(rows))]
+    if variant == "zero row":
+        rows, labels = rows + [0], labels + [0]
+    elif variant == "label-only row":
+        rows, labels = rows + [0], labels + [1]
+    elif variant == "repeat with the other label" and rows:
+        rows, labels = rows + rows[:1], labels + [labels[0] ^ 1]
+    packed = [a | b << n for a, b in zip(rows, labels)]
+    s = reference_solve_full_rank(rows, labels, n)
+    consistent = s is not None and all(parity_int(a & s) == b for a, b in zip(rows, labels))
+    assert solve_unique(packed, n) == (s if consistent else None)
+    x, null = solve_ints(packed, n)
+    assert solve_unique(packed, n) == (x if not null else None)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from noisysimon import solvers
+from noisysimon import gf2, solvers
 from noisysimon.gf2 import BitVec, DimensionError, orthogonal_basis
 from noisysimon.lsn import LsnParams, sample_many
 from noisysimon.reductions import LpnSample, SolveFailure, lsn_sample_to_lpn
@@ -169,6 +169,41 @@ def test_pool_rank_is_capped_and_computed_once(monkeypatch):
     assert calls == [3]
     assert SamplePool.from_ints(4, [1, 2, 4, 8]).capped_rank == 3
     assert SamplePool.from_ints(4, [3, 3, 5, 6]).capped_rank == 2
+
+
+def test_pooled_solvers_enter_the_traced_gf2_layers_as_before(monkeypatch):
+    # The benchmark's gf2.rank and gf2.nullspace spans wrap these names in
+    # every module: pooled_lsn takes one nullspace per loop, and
+    # pooled_gauss_lpn one capped rank per call and no nullspace.
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (solvers, gf2):
+        for name in ("rank_ints", "nullspace_ints"):
+            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    f = SimonFunction.default(5)
+    rng = np.random.default_rng(3)
+    params = LsnParams(5, 0.1, f.s)
+    pool = SamplePool.from_ints(5, sample_many(params, 64, rng))
+    pool.capped_rank  # once per pool, before the counted calls
+    calls.clear()
+    loops = 0
+    for _ in range(5):
+        s, cost = pooled_lsn(f, pool, rng)
+        assert s == f.s
+        loops += cost.loop_count
+    assert calls == ["nullspace_ints"] * loops
+    samples = [lsn_sample_to_lpn(BitVec(5, int(y)), f.s, rng) for y in sample_many(params, 64, rng)]
+    verifier = majority_verifier(samples[40:], 0.1)
+    calls.clear()
+    for _ in range(5):
+        pooled_gauss_lpn(samples[:40], verifier, rng)
+    assert calls == ["rank_ints"] * 5
 
 
 def test_exact_size_pools_take_their_one_draw_without_the_generator():
