@@ -185,42 +185,57 @@ def _index_sets(rng: np.random.Generator, pool_size: int, k: int) -> Iterator[Li
         block *= 2
 
 
+def _draws(rng: np.random.Generator, size: int, k: int, rank: int, max_loops: int,
+           what: str) -> Iterator[Tuple[int, Sequence[int]]]:
+    """The pooled solvers' draw policy: (loop, k distinct indices below size)
+    up to max_loops times, then SolveFailure naming `what`. A pool of rank
+    below k fails before any draw; one with a single such set (size = k or
+    k = 0) gives it once, without the generator; one of fewer than max_loops
+    sets fails once each has been drawn, so a draw's outcome must be a function
+    of its set. Close it however the solve stops; draw nothing from rng meanwhile."""
+    if rank < k:
+        raise SolveFailure(f"the pool has rank {rank} < {k}: no draw of {k} has full rank")
+    total = math.comb(size, k)
+    if total == 1 and max_loops > 0:
+        yield 1, range(k)
+        raise SolveFailure(f"a pool of {size} allows one draw of {k}: no verified {what}")
+    drawn = set() if total < max_loops else None
+    with closing(_index_sets(rng, size, k)) as sets:
+        for loop, idx in zip(range(1, max_loops + 1), sets):
+            yield loop, idx
+            if drawn is not None:
+                drawn.add(frozenset(idx))
+                if len(drawn) == total:
+                    raise SolveFailure(f"a pool of {size} allows {total} draws of {k}, all "
+                                       f"drawn within {loop} loops: no verified {what}")
+    raise SolveFailure(f"no verified {what} within {max_loops} loops")
+
+
 def pooled_lsn(
     f: SimonFunction,
     pool: SamplePool,
     rng: np.random.Generator,
     max_loops: int = 1_000_000,
 ) -> Tuple[BitVec, CostReport]:
-    """Repeatedly draw n-1 distinct pool samples; on a linearly independent,
-    error-free draw the one-dimensional nullspace is the period, which the
-    function oracle confirms. Every completed draw counts as one loop.
-
-    n-1 rows have rank n-1 exactly when their nullspace is one-dimensional,
-    so one elimination serves as both the rank test and the solve. A pool of
-    rank below n-1 has no such draw, and SolveFailure follows before any
-    draw. A pool of exactly n-1 samples (or n = 1) allows one draw, taken
-    without the generator; SolveFailure follows at once if it fails."""
+    """Repeatedly draw n-1 distinct pool samples (`_draws`); on a linearly
+    independent, error-free draw the one-dimensional nullspace is the period,
+    which the function oracle confirms. Every completed draw counts as one
+    loop. n-1 rows have rank n-1 exactly when their nullspace is
+    one-dimensional, so one elimination is both the rank test and the solve."""
     vals = pool.values
     n = f.n
     if pool.n != n:
         raise DimensionError(f"pool of n={pool.n} for a function of n={n}")
     if len(vals) < n - 1:
         raise ValueError(f"pool of {len(vals)} cannot contain {n - 1} independent samples")
-    if pool.capped_rank < n - 1:
-        raise SolveFailure(
-            f"the pool has rank {pool.capped_rank} < {n - 1}: no draw of {n - 1} is independent")
-    one_draw = len(vals) == n - 1 or n == 1
     queries = 0
-    with closing(_index_sets(rng, len(vals), n - 1)) as draws:
-        for loops, idx in zip(range(1, max_loops + 1), [range(n - 1)] if one_draw else draws):
+    with closing(_draws(rng, len(vals), n - 1, pool.capped_rank, max_loops, "period")) as draws:
+        for loops, idx in draws:
             null = nullspace_ints([vals[i] for i in idx], n)
             if len(null) == 1:
                 queries += 1
                 if f.verify_period(period := BitVec(n, null[0])):
                     return period, CostReport(loops, queries)
-    if one_draw and max_loops > 0:
-        raise SolveFailure(f"a pool of {len(vals)} allows one draw of {n - 1}: no verified period")
-    raise SolveFailure(f"no verified period within {max_loops} loops")
 
 
 def pooled_gauss_lpn(
@@ -229,30 +244,29 @@ def pooled_gauss_lpn(
     rng: np.random.Generator,
     max_loops: int = 1_000_000,
 ) -> Tuple[BitVec, CostReport]:
-    """Repeatedly draw n distinct parity samples, solve the system if it has
-    full rank, and return the first nonzero candidate the verifier accepts. A
-    pool of exactly n samples (or n = 0) allows one draw, taken without the
-    generator, and SolveFailure follows at once if it fails; so it does before
-    any draw for a larger pool whose a-parts have rank below n."""
+    """Repeatedly draw n distinct parity samples (`_draws`, on the a-parts'
+    rank), solve the system if it has full rank, and return the first nonzero
+    candidate the verifier, a function of the candidate, accepts. A drawn a
+    that is not n bits is a DimensionError, a label not 0 or 1 a ValueError."""
     if not pool:
         raise ValueError("empty pool")
     n = pool[0].a.n
     if len(pool) < n:
         raise ValueError(f"pool of {len(pool)} cannot determine {n} unknowns")
-    one_draw = len(pool) == n or n == 0
-    if not one_draw:
-        rank = rank_ints((smp.a.value for smp in pool), n, stop=n)
-        if rank < n:
-            raise SolveFailure(
-                f"the pool's a-parts have rank {rank} < {n}: no draw of {n} is solvable")
-    with closing(_index_sets(rng, len(pool), n)) as draws:
-        for loops, idx in zip(range(1, max_loops + 1), [range(n)] if one_draw else draws):
-            s = solve_unique([pool[i].a.value | (pool[i].b & 1) << n for i in idx], n)
+    rank = rank_ints((smp.a.value for smp in pool), n, stop=n)
+    with closing(_draws(rng, len(pool), n, rank, max_loops, "secret")) as draws:
+        for loops, idx in draws:
+            rows = []
+            for i in idx:
+                a, b = pool[i]
+                if a.n != n:
+                    raise DimensionError(f"pool sample {i} has length {a.n}, not n={n}")
+                if b not in (0, 1):
+                    raise ValueError(f"pool sample {i} has label {b!r}, not 0 or 1")
+                rows.append(a.value | b << n)
+            s = solve_unique(rows, n)
             if s and verifier(secret := BitVec(n, s)):
                 return secret, CostReport(loops, loops)
-    if one_draw and max_loops > 0:
-        raise SolveFailure(f"a pool of {len(pool)} allows one draw of {n}: no verified secret")
-    raise SolveFailure(f"no verified secret within {max_loops} loops")
 
 
 def majority_verifier(

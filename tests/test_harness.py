@@ -378,6 +378,24 @@ def test_solver_failure_gives_one_line_error_and_status_1(tmp_path, capsys, monk
     assert not (tmp_path / "solve.csv").exists()
 
 
+@pytest.mark.parametrize("argv, pool, loops", [
+    (["--seed", "5", "solve", "--algorithm", "pooled-lsn", "--n", "7", "--pool-size", "7"],
+     "a pool of 7 allows 7 draws of 6", 14),
+    (["--seed", "7", "solve", "--algorithm", "pooled-lsn", "--n", "7", "--pool-size", "7"],
+     "a pool of 7 allows 7 draws of 6", 13),
+    (["crossover", "--trials", "1", "--pool-size", "6", "--taus"] + ["0.1"] * 6,
+     "a pool of 6 allows 6 draws of 5", 11),
+])
+def test_exhausted_small_pool_ends_in_status_1(tmp_path, capsys, argv, pool, loops):
+    """Once every distinct draw of a small pool has failed, the solve ends
+    instead of redrawing them for all 1,000,000 loops."""
+    assert main(["--out-dir", str(tmp_path)] + argv) == 1
+    err = capsys.readouterr().err
+    assert err == (f"noisysimon: error: {pool}, all drawn within {loops} loops: "
+                   "no verified period\n")
+    assert not list(tmp_path.iterdir())
+
+
 def test_sparse_multiset_is_a_one_line_error(tmp_path, capsys):
     """At n=7 16 shots cannot cover the 128 outcomes the model supports."""
     assert main(["--out-dir", str(tmp_path), "smooth", "--n", "7", "--shots", "16"]) == 2

@@ -960,15 +960,28 @@ class Stop(Exception):
     pass
 
 
+def reference_draws(rng, size, k, max_loops, what):
+    """(loop, index set) for a pool of more than k samples, one call per
+    draw, until max_loops draws or, in a pool of fewer than max_loops sets of
+    k, until every set has been drawn; then the pooled solvers' failure."""
+    total, seen = math.comb(size, k), set()
+    for loop in range(1, max_loops + 1):
+        idx = reference_draw_distinct(rng, size, k)
+        yield loop, idx
+        seen.add(tuple(sorted(idx)))
+        if len(seen) == total < max_loops:
+            raise SolveFailure(f"a pool of {size} allows {total} draws of {k}, all drawn "
+                               f"within {loop} loops: no verified {what}")
+    raise SolveFailure(f"no verified {what} within {max_loops} loops")
+
+
 def reference_pooled_gauss(pool, verifier, rng, max_loops):
     """`pooled_gauss_lpn`'s loop over a pool larger than n, one call per draw."""
     n = pool[0].a.n
-    for loops in range(1, max_loops + 1):
-        idx = reference_draw_distinct(rng, len(pool), n)
-        s, null = solve_ints([pool[i].a.value | (pool[i].b & 1) << n for i in idx], n)
+    for loops, idx in reference_draws(rng, len(pool), n, max_loops, "secret"):
+        s, null = solve_ints([pool[i].a.value | pool[i].b << n for i in idx], n)
         if s is not None and not null and s != 0 and verifier(BitVec(n, s)):
             return BitVec(n, s), CostReport(loops, loops)
-    raise SolveFailure(f"no verified secret within {max_loops} loops")
 
 
 def gauss_outcome(solve, pool, seed, max_loops, accept_at, raise_at):
@@ -992,7 +1005,8 @@ def gauss_outcome(solve, pool, seed, max_loops, accept_at, raise_at):
 
 @st.composite
 def small_gauss_pools(draw):
-    """n + 1 to n + 3 samples of a-rank n: most draws of n hold a repeat."""
+    """n + 1 to n + 3 samples of a-rank n: most draws of n hold a repeat, and
+    a pool has at most C(n + 3, n) <= 56 sets of n, so long solves draw them all."""
     n = draw(st.integers(2, 5))
     values = [1 << j for j in range(n)] + draw(
         st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3))
@@ -1011,16 +1025,20 @@ def test_pooled_gauss_stops_leave_the_generator_as_one_call_per_draw(
     assert gauss_outcome(pooled_gauss_lpn, *args) == gauss_outcome(reference_pooled_gauss, *args)
 
 
-@pytest.mark.parametrize("max_loops", BLOCK_EDGES + (70,))
+@pytest.mark.parametrize("max_loops", BLOCK_EDGES + (70, 1000))
 def test_pooled_lsn_at_max_loops_leaves_the_generator_as_one_call_per_draw(max_loops):
-    """A pool spanning the complement of 0110 never yields the period 0011."""
+    """A pool spanning the complement of 0110 never yields the period 0011:
+    it fails at max_loops or, at 1000, once all 56 sets of 3 have been drawn."""
     f = SimonFunction.default(4)
     values = [v for v in range(16) if bin(v & 0b0110).count("1") % 2 == 0]
     rng, ref = np.random.default_rng(max_loops), np.random.default_rng(max_loops)
-    with pytest.raises(SolveFailure, match=f"within {max_loops} loops"):
+    with pytest.raises(SolveFailure) as got:
         pooled_lsn(f, SamplePool.from_ints(4, values), rng, max_loops)
-    for _ in range(max_loops):
-        reference_draw_distinct(ref, len(values), 3)
+    with pytest.raises(SolveFailure) as want:
+        for _ in reference_draws(ref, len(values), 3, max_loops, "period"):
+            pass
+    assert str(got.value) == str(want.value)
+    assert ("allows 56 draws of 3" in str(got.value)) == (max_loops == 1000)
     assert rng.bit_generator.state == ref.bit_generator.state
 
 

@@ -55,6 +55,12 @@ wide = LsnParams(25, 0.1, BitVec(25, 3))  # 2^25 entries: refused before any arr
     (lambda: pooled_gauss_lpn([], lambda s: True, rng), ValueError, "empty pool"),
     (lambda: pooled_gauss_lpn([lpn, lpn], lambda s: True, rng), ValueError,
      "pool of 2 cannot determine 3 unknowns"),
+    (lambda: pooled_gauss_lpn([LpnSample(BitVec(3, v), 2) for v in (1, 2, 4, 7)],
+                              lambda s: True, rng), ValueError,
+     r"pool sample \d has label 2, not 0 or 1"),
+    (lambda: pooled_gauss_lpn([lpn, LpnSample(BitVec(3, 2), 0), LpnSample(BitVec(4, 0b1100), 0)],
+                              lambda s: True, rng), DimensionError,
+     "pool sample 2 has length 4, not n=3"),
     (lambda: majority_verifier([lpn, LpnSample(BitVec(4, 1), 0)], 0.1), DimensionError,
      "held-out samples differ in length from n=3"),
     (lambda: majority_verifier([lpn, LpnSample(BitVec(3, 2), 2)], 0.1), ValueError,

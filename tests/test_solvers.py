@@ -141,6 +141,8 @@ def test_pooled_lsn_failure_signal_on_hopeless_pool():
     state = rng.bit_generator.state
     with pytest.raises(SolveFailure, match="rank 1 < 3"):
         pooled_lsn(f, pool, rng)  # at once, not after max_loops draws
+    with pytest.raises(SolveFailure, match="no verified period within 0 loops"):
+        pooled_lsn(f, SamplePool.from_ints(4, [1, 2, 4, 8]), rng, max_loops=0)
     assert rng.bit_generator.state == state
     with pytest.raises(ValueError):
         pooled_lsn(f, SamplePool.from_vectors([BitVec(4, 1)]), np.random.default_rng(6))
@@ -152,6 +154,9 @@ def test_pooled_gauss_failure_signal_on_hopeless_pool():
     state = rng.bit_generator.state
     with pytest.raises(SolveFailure, match="rank 2 < 4"):
         pooled_gauss_lpn(pool, lambda cand: True, rng, max_loops=1000)  # before any draw
+    full = [LpnSample(BitVec(4, v), 0) for v in (1, 2, 4, 8, 3)]
+    with pytest.raises(SolveFailure, match="no verified secret within 0 loops"):
+        pooled_gauss_lpn(full, lambda cand: True, rng, max_loops=0)
     assert rng.bit_generator.state == state
 
 
@@ -223,6 +228,8 @@ def test_exact_size_pools_take_their_one_draw_without_the_generator():
     s, cost = pooled_gauss_lpn(exact, lambda cand: True, rng)
     assert s == f.s and cost == CostReport(1, 1)
     with pytest.raises(SolveFailure, match="allows one draw of 4"):
+        pooled_gauss_lpn(exact, lambda cand: False, rng, max_loops=1000)
+    with pytest.raises(SolveFailure, match="rank 3 < 4"):
         pooled_gauss_lpn(exact[:3] + exact[:1], lambda cand: True, rng, max_loops=1000)
     assert rng.bit_generator.state == state
 
