@@ -66,6 +66,7 @@ from .solvers import (
     classical_period,
     expected_pooled_gauss_loops,
     expected_pooled_lsn_loops,
+    heldout_size,
     majority_verifier,
     pooled_gauss_lpn,
     pooled_lsn,

@@ -46,6 +46,7 @@ from .smoothing import (
 from .solvers import (
     SamplePool,
     classical_period,
+    heldout_size,
     pooled_gauss_lpn,
     pooled_lsn,
     majority_verifier,
@@ -323,7 +324,7 @@ def cmd_solve(args) -> int:
         pool = SamplePool.from_ints(n, sample_many(pool_params, args.pool_size, rng))
         s, cost = pooled_lsn(f, pool, rng)
     elif args.algorithm == "pooled-gauss":
-        held_out = max(128, 4 * n)
+        held_out = heldout_size(n, tau)
         if args.pool_size < held_out + n:
             raise ValueError(f"--pool-size must be >= {held_out + n} for pooled-gauss at n={n}")
         ys = sample_many(LsnParams(n, tau, f.s), args.pool_size, rng)

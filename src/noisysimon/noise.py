@@ -53,8 +53,9 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import numbers
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import List, Sequence, Tuple
 
@@ -85,9 +86,12 @@ class NoiseParams:
         for pair in self.readout:
             if len(pair) != 2:
                 raise ValueError(f"malformed readout entry {list(pair)}: not a (p01, p10) pair")
-        probs = [self.eps1, self.eps2, self.crosstalk, self.default_p01, self.default_p10]
-        probs += [p for pair in self.readout for p in pair]
-        for p in probs:
+        rates = [(f.name, getattr(self, f.name)) for f in fields(self) if f.name != "readout"]
+        rates += [(f"readout[{q}][{j}]", p) for q, pair in enumerate(self.readout)
+                  for j, p in enumerate(pair)]
+        for name, p in rates:
+            if isinstance(p, bool) or not isinstance(p, numbers.Real):
+                raise ValueError(f"noise rate {name} is {p!r}, not a number")
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability {p} outside [0, 1]")
 
@@ -98,8 +102,9 @@ class NoiseParams:
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseParams":
         """Parameters from their JSON object; absent rates are 0, eps2
-        defaults to ten times eps1, and a key that names no parameter is an
-        error (a misspelt rate would otherwise read as 0)."""
+        defaults to ten times eps1 once the given rates are checked, and a key
+        that names no parameter is an error (a misspelt rate would otherwise
+        read as 0)."""
         if not isinstance(d, dict):
             raise ValueError(f"malformed noise parameters: a {type(d).__name__}, not a JSON object")
         names = [f.name for f in fields(cls)]
@@ -107,17 +112,11 @@ class NoiseParams:
         if unknown:
             raise ValueError(f"unknown noise parameters {unknown}; the known ones are {names}")
         try:
-            eps1 = d.get("eps1", 0.0)
-            return cls(
-                eps1=eps1,
-                eps2=d.get("eps2", 10.0 * eps1),
-                crosstalk=d.get("crosstalk", 0.0),
-                readout=tuple(map(tuple, d.get("readout", []))),
-                default_p01=d.get("default_p01", 0.0),
-                default_p10=d.get("default_p10", 0.0),
-            )
+            readout = tuple(map(tuple, d.get("readout", ())))
         except TypeError as exc:
             raise ValueError(f"malformed noise parameters: {exc}") from exc
+        params = cls(**{**d, "readout": readout})
+        return params if "eps2" in d else replace(params, eps2=10.0 * params.eps1)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "NoiseParams":

@@ -11,7 +11,7 @@ import math
 import threading
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -159,40 +159,19 @@ def classical_period(
 # Pooled solvers
 
 
-def _index_sets(rng: np.random.Generator, pool_size: int, k: int) -> Iterator[List[int]]:
-    """Sets of k >= 1 distinct indices below pool_size, each the next
-    `rng.integers(0, pool_size, size=k)` without a repeat. After four single
-    draws (most solves need no more), one call draws blocks of 8, 16, 32, ...
-    draws; a bounded draw takes one 32-bit word per value and keeps no buffer
-    (Lemire's method), so the values are those of one call per draw. Closed
-    mid-block, it resets the generator and redraws the values used: the
-    caller must close it however it stops, and draw nothing from rng meanwhile."""
-    for _ in range(4):
-        if len(set(idx := rng.integers(0, pool_size, size=k).tolist())) == k:
-            yield idx
-    block = 8
-    while True:
-        state = rng.bit_generator.state
-        vals = rng.integers(0, pool_size, size=block * k).tolist()
-        try:
-            for used in range(k, len(vals) + 1, k):
-                if len(set(idx := vals[used - k:used])) == k:
-                    yield idx
-        finally:
-            if used < len(vals):
-                rng.bit_generator.state = state
-                rng.integers(0, pool_size, size=used)
-        block *= 2
-
-
 def _draws(rng: np.random.Generator, size: int, k: int, rank: int, max_loops: int,
            what: str) -> Iterator[Tuple[int, Sequence[int]]]:
-    """The pooled solvers' draw policy: (loop, k distinct indices below size)
-    up to max_loops times, then SolveFailure naming `what`. A pool of rank
-    below k fails before any draw; one with a single such set (size = k or
-    k = 0) gives it once, without the generator; one of fewer than max_loops
-    sets fails once each has been drawn, so a draw's outcome must be a function
-    of its set. Close it however the solve stops; draw nothing from rng meanwhile."""
+    """The pooled solvers' draws: (loop, k distinct indices below size) up to
+    max_loops times, then SolveFailure naming `what`. A pool of rank below k
+    fails before any draw; one with a single such set (size = k or k = 0)
+    gives it once, without the generator; one of fewer than max_loops sets
+    fails once each has been drawn, so a draw's outcome must be a function of
+    its set. Each set is the next `rng.integers(0, size, size=k)` without a
+    repeat, but calls draw 1, 1, 1, 1, 8, 16, 32, ... such draws: a bounded
+    draw takes one 32-bit word per value and keeps no buffer (Lemire's
+    method), so stopped mid-block, it resets the generator and redraws the
+    values used, leaving it as one call per draw would. Close it however the
+    solve stops; draw nothing from rng meanwhile."""
     if rank < k:
         raise SolveFailure(f"the pool has rank {rank} < {k}: no draw of {k} has full rank")
     total = math.comb(size, k)
@@ -200,14 +179,28 @@ def _draws(rng: np.random.Generator, size: int, k: int, rank: int, max_loops: in
         yield 1, range(k)
         raise SolveFailure(f"a pool of {size} allows one draw of {k}: no verified {what}")
     drawn = set() if total < max_loops else None
-    with closing(_index_sets(rng, size, k)) as sets:
-        for loop, idx in zip(range(1, max_loops + 1), sets):
-            yield loop, idx
-            if drawn is not None:
-                drawn.add(frozenset(idx))
-                if len(drawn) == total:
-                    raise SolveFailure(f"a pool of {size} allows {total} draws of {k}, all "
-                                       f"drawn within {loop} loops: no verified {what}")
+    loop = calls = 0
+    while loop < max_loops:
+        block = 1 << (calls - 1) if calls > 3 else 1
+        calls += 1
+        state = rng.bit_generator.state if block > 1 else None
+        vals = rng.integers(0, size, size=block * k).tolist()
+        try:
+            for used in range(k, len(vals) + 1, k):
+                if len(set(idx := vals[used - k:used])) == k:
+                    loop += 1
+                    yield loop, idx
+                    if drawn is not None:
+                        drawn.add(frozenset(idx))
+                        if len(drawn) == total:
+                            raise SolveFailure(f"a pool of {size} allows {total} draws of {k}, "
+                                               f"all drawn within {loop} loops: no verified {what}")
+                    if loop == max_loops:
+                        break
+        finally:
+            if used < len(vals):
+                rng.bit_generator.state = state
+                rng.integers(0, size, size=used)
     raise SolveFailure(f"no verified {what} within {max_loops} loops")
 
 
@@ -217,11 +210,12 @@ def pooled_lsn(
     rng: np.random.Generator,
     max_loops: int = 1_000_000,
 ) -> Tuple[BitVec, CostReport]:
-    """Repeatedly draw n-1 distinct pool samples (`_draws`); on a linearly
-    independent, error-free draw the one-dimensional nullspace is the period,
-    which the function oracle confirms. Every completed draw counts as one
-    loop. n-1 rows have rank n-1 exactly when their nullspace is
-    one-dimensional, so one elimination is both the rank test and the solve."""
+    """Repeatedly draw n-1 distinct pool samples (`_draws`, which leaves rng
+    as one `integers` call per draw would); on a linearly independent,
+    error-free draw the one-dimensional nullspace is the period, which the
+    function oracle confirms. Every completed draw counts as one loop. n-1
+    rows have rank n-1 exactly when their nullspace is one-dimensional, so
+    one elimination is both the rank test and the solve."""
     vals = pool.values
     n = f.n
     if pool.n != n:
@@ -247,7 +241,8 @@ def pooled_gauss_lpn(
     """Repeatedly draw n distinct parity samples (`_draws`, on the a-parts'
     rank), solve the system if it has full rank, and return the first nonzero
     candidate the verifier, a function of the candidate, accepts. A drawn a
-    that is not n bits is a DimensionError, a label not 0 or 1 a ValueError."""
+    that is not n bits is a DimensionError, a label not 0 or 1 a ValueError;
+    however it stops, rng is left as one `integers` call per draw would leave it."""
     if not pool:
         raise ValueError("empty pool")
     n = pool[0].a.n
@@ -267,6 +262,16 @@ def pooled_gauss_lpn(
             s = solve_unique(rows, n)
             if s and verifier(secret := BitVec(n, s)):
                 return secret, CostReport(loops, loops)
+
+
+def heldout_size(n: int, tau: float) -> int:
+    """Held-out samples for `majority_verifier` at n bits and error rate
+    tau: max(128, 4n, ceil(18 / (1/2 - tau)^2)). The last term puts the
+    threshold (tau + 1/2)/2 at least sqrt(18), about 4.2, standard deviations
+    from the mismatch rates of the secret (tau) and of any other candidate
+    (1/2); Hoeffding bounds either verdict's error by e^-9."""
+    check_tau(tau)
+    return max(128, 4 * n, math.ceil(18 / (0.5 - tau) ** 2))
 
 
 def majority_verifier(

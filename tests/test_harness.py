@@ -260,6 +260,15 @@ def test_solve_commands(tmp_path):
         assert rows[0]["period"] == "000011"
 
 
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_pooled_gauss_verifies_the_period_at_a_high_error_rate(tmp_path, seed):
+    """At tau = 0.4 the held-out set grows to heldout_size(7, 0.4) = 1801
+    samples, so the majority verifier tells the period from the rest."""
+    assert main(["--out-dir", str(tmp_path), "--seed", str(seed), "solve",
+                 "--algorithm", "pooled-gauss", "--n", "7", "--tau", "0.4"]) == 0
+    assert read_rows(tmp_path / "solve.csv")[0]["verified"] == "True"
+
+
 def test_custom_topology_flag(tmp_path):
     topo = tmp_path / "topo.json"
     topo.write_text(json.dumps({
@@ -303,6 +312,12 @@ def test_bad_input_gives_one_line_error(tmp_path, capsys):
     unknown_key.write_text(json.dumps({"eps1": 0.01, "bogus": 3}))
     noise_list = tmp_path / "noise_list.json"
     noise_list.write_text(json.dumps([1, 2]))
+    bool_rate = tmp_path / "bool_rate.json"
+    bool_rate.write_text(json.dumps({"default_p01": True}))
+    text_rate = tmp_path / "text_rate.json"
+    text_rate.write_text(json.dumps({"eps1": "0.1"}))
+    text_readout = tmp_path / "text_readout.json"
+    text_readout.write_text(json.dumps({"readout": [[0.1, "x"]]}))
     multiset = tmp_path / "m.csv"
     MeasurementMultiset(3, {o: 90 if o in (0, 3, 4, 7) else 10 for o in range(8)}).to_csv(multiset)
     cases = [
@@ -330,6 +345,8 @@ def test_bad_input_gives_one_line_error(tmp_path, capsys):
          "--configs must be >= 1"),
         (["solve", "--algorithm", "pooled-gauss", "--n", "3", "--pool-size", "128"],
          "--pool-size must be >= 131"),
+        (["solve", "--algorithm", "pooled-gauss", "--n", "7", "--tau", "0.4", "--pool-size",
+          "1807"], "--pool-size must be >= 1808 for pooled-gauss at n=7"),
         (["solve", "--algorithm", "pooled-lsn", "--n", "5", "--pool-size", "0"],
          "--pool-size must be >= 4 for pooled-lsn at n=5"),
         (["crossover", "--pool-size", "0"], "--pool-size must be >= 6 for crossover"),
@@ -353,6 +370,11 @@ def test_bad_input_gives_one_line_error(tmp_path, capsys):
         (["--noise", str(unknown_key), "measure", "--n", "2"], "unknown noise parameters ['bogus']"),
         (["--noise", str(noise_list), "measure", "--n", "2"],
          "malformed noise parameters: a list, not a JSON object"),
+        (["--noise", str(bool_rate), "measure", "--n", "2"],
+         "noise rate default_p01 is True, not a number"),
+        (["--noise", str(text_rate), "measure", "--n", "2"], "noise rate eps1 is '0.1', not a number"),
+        (["--noise", str(text_readout), "measure", "--n", "2"],
+         "noise rate readout[0][1] is 'x', not a number"),
     ]
     for argv, message in cases:
         assert main(["--out-dir", str(tmp_path)] + argv) == 2

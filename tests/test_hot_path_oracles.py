@@ -31,13 +31,14 @@ and the rewriting must not raise the norm.
 one score update per new distance; the library's batched updates must give
 the same ledgers, period and cost. `classical_period_reference` restates it
 as a full rescan per round (compared in `test_solvers.py`).
-`reference_draw_distinct` draws each index set of the pooled solvers with
-its own `integers` call; the library's blocked draws, rewound when a solve
-stops mid-block, must give the same sets and leave the generator in the same
-state, whether the solve succeeds, reaches `max_loops` or its verifier
-raises. `reference_majority_verifier` takes the held-out mismatch rate as a
-numpy mean; the bitsliced verifier must make the same decision for every
-candidate, also at a mismatch count exactly at the threshold.
+`reference_draws` draws each index set of the pooled solvers with its own
+`integers` call; `_draws`, rewound when a solve stops mid-block, must give
+the same sets and failures and leave the generator in the same state,
+whether the solve succeeds, reaches `max_loops`, exhausts its pool, or its
+verifier or a drawn sample raises. `reference_majority_verifier` takes the
+held-out mismatch rate as a numpy mean; the bitsliced verifier must make the
+same decision for every candidate, also at a mismatch count exactly at the
+threshold.
 """
 
 import itertools
@@ -65,7 +66,8 @@ from noisysimon.circuits import (
     append_measurement_flips,
     build_simon_circuit,
 )
-from noisysimon.gf2 import BitVec, _echelon, nullspace_ints, parity, solve_ints, solve_unique
+from noisysimon.gf2 import (BitVec, DimensionError, _echelon, nullspace_ints, parity, solve_ints,
+                            solve_unique)
 from noisysimon.noise import NoiseParams, _sample_chunk, _split_field
 from noisysimon.reductions import LpnSample, SolveFailure
 from noisysimon.simon import SimonFunction
@@ -74,7 +76,7 @@ from noisysimon.solvers import (
     CostReport,
     QueryLedger,
     SamplePool,
-    _index_sets,
+    _draws,
     _schedule,
     classical_period,
     majority_verifier,
@@ -927,35 +929,6 @@ def reference_draw_distinct(rng: np.random.Generator, pool_size: int, k: int) ->
 # The single draws end after 4 draws and the blocks after 12, 28 and 60.
 BLOCK_EDGES = (1, 4, 5, 12, 13, 28, 29, 60, 61)
 
-pool_sizes = st.one_of(st.integers(0, 3), st.just(None))  # k + extra, or 16,384
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 6), pool_sizes, st.integers(1, 64), st.integers(0, 2**32 - 1))
-@example(k=7, extra=None, loops=61, seed=0)
-@example(k=3, extra=0, loops=29, seed=1)
-def test_index_sets_match_one_call_per_draw(k, extra, loops, seed):
-    """However many sets are taken before the iterator is closed, they and
-    the generator's state are those of one `integers` call per draw."""
-    pool_size = 16384 if extra is None else k + extra
-    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    with closing(_index_sets(rng, pool_size, k)) as draws:
-        got = [next(draws) for _ in range(loops)]
-    assert got == [reference_draw_distinct(ref, pool_size, k) for _ in range(loops)]
-    assert rng.bit_generator.state == ref.bit_generator.state
-    assert rng.integers(0, 1 << 62) == ref.integers(0, 1 << 62)
-
-
-@pytest.mark.parametrize("pool_size, k", [(16384, 6), (8, 7)])
-def test_index_sets_match_at_every_stop_past_the_third_block(pool_size, k):
-    for loops in range(1, 66):
-        rng, ref = np.random.default_rng(loops), np.random.default_rng(loops)
-        with closing(_index_sets(rng, pool_size, k)) as draws:
-            got = [next(draws) for _ in range(loops)]
-        want = [reference_draw_distinct(ref, pool_size, k) for _ in range(loops)]
-        assert got == want and rng.bit_generator.state == ref.bit_generator.state, loops
-
-
 class Stop(Exception):
     pass
 
@@ -973,6 +946,57 @@ def reference_draws(rng, size, k, max_loops, what):
             raise SolveFailure(f"a pool of {size} allows {total} draws of {k}, all drawn "
                                f"within {loop} loops: no verified {what}")
     raise SolveFailure(f"no verified {what} within {max_loops} loops")
+
+
+def draw_outcome(draws, stop):
+    """The (loop, index set) pairs a draw generator gives until its caller
+    stops at loop `stop`, then the failure text if it ended first."""
+    got = []
+    with closing(draws):
+        try:
+            for loop, idx in draws:
+                got.append((loop, list(idx)))
+                if loop == stop:
+                    break
+        except SolveFailure as exc:
+            got.append(str(exc))
+    return got
+
+
+def assert_draws_match_one_call_per_draw(seed, size, k, max_loops, stop):
+    """`_draws`, stopped at loop `stop` or ended by its own failure, gives the
+    sets and failure of one call per draw and leaves the generator as it would."""
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = draw_outcome(_draws(rng, size, k, k, max_loops, "period"), stop)
+    want = draw_outcome(reference_draws(ref, size, k, max_loops, "period"), stop)
+    assert got == want, (max_loops, stop)
+    assert rng.bit_generator.state == ref.bit_generator.state, (max_loops, stop)
+    assert rng.integers(0, 1 << 62) == ref.integers(0, 1 << 62)
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.one_of(st.integers(1, 3), st.just(None)),
+       st.one_of(st.sampled_from(BLOCK_EDGES), st.integers(0, 70)), st.integers(1, 70),
+       st.integers(0, 2**32 - 1))
+@example(k=7, extra=None, max_loops=1000, stop=61, seed=0)
+@example(k=3, extra=1, max_loops=29, stop=29, seed=1)
+def test_draws_match_one_call_per_draw(k, extra, max_loops, stop, seed):
+    """However the caller stops, or max_loops or an exhausted pool of k +
+    extra (else 16,384) samples ends the draws, they match one call per draw."""
+    size = 16384 if extra is None else k + extra
+    assert_draws_match_one_call_per_draw(seed, size, k, max_loops, stop)
+
+
+@pytest.mark.parametrize("max_loops", BLOCK_EDGES + (65, 1000))
+@pytest.mark.parametrize("size, k", [(16384, 6), (8, 7)])
+def test_draws_match_at_every_stop_past_the_third_block(size, k, max_loops):
+    """Every stop from 1 to 65 loops, at each block edge of max_loops; from
+    max_loops 12 on, some runs draw all 8 sets of 7 of the pool of 8."""
+    ends = [assert_draws_match_one_call_per_draw(stop, size, k, max_loops, stop)[-1]
+            for stop in range(1, 66)]
+    exhausted = any("allows 8 draws of 7" in str(end) for end in ends)
+    assert exhausted == (size == 8 and max_loops >= 12)
 
 
 def reference_pooled_gauss(pool, verifier, rng, max_loops):
@@ -1023,6 +1047,28 @@ def test_pooled_gauss_stops_leave_the_generator_as_one_call_per_draw(
     same result, candidates and generator state as one call per draw."""
     args = (pool, seed, max_loops, accept_at, raise_at)
     assert gauss_outcome(pooled_gauss_lpn, *args) == gauss_outcome(reference_pooled_gauss, *args)
+
+
+@pytest.mark.parametrize("bad", [
+    (LpnSample(BitVec(5, 1), 0), DimensionError, "has length 5, not n=4"),
+    (LpnSample(BitVec(4, 1), 2), ValueError, "has label 2, not 0 or 1"),
+])
+@pytest.mark.parametrize("loop", [5, 6, 12, 13, 20, 28, 29, 45, 61])
+def test_pooled_gauss_malformed_sample_drawn_mid_block_leaves_one_call_per_draw(loop, bad):
+    """A malformed sample first drawn at loop 5 or later, so from a block of
+    8 or more draws, raises its error and leaves the generator as one call
+    per draw would."""
+    sample, error, message = bad
+    size, seed = 512, loop
+    ref = np.random.default_rng(seed)
+    sets = [set(reference_draw_distinct(ref, size, 4)) for _ in range(loop)]
+    i = max(sets[-1].difference(*sets[:-1]))  # first drawn at `loop` (not 0: pool[0] sets n)
+    pool = [LpnSample(BitVec(4, v % 16), v & 1) for v in range(size)]
+    pool[i] = sample
+    rng = np.random.default_rng(seed)
+    with pytest.raises(error, match=f"pool sample {i} {message}"):
+        pooled_gauss_lpn(pool, lambda cand: False, rng, 1000)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("max_loops", BLOCK_EDGES + (70, 1000))

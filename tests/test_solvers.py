@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from noisysimon import gf2, solvers
+from noisysimon.cli import FIG9_TAUS
 from noisysimon.gf2 import BitVec, DimensionError, orthogonal_basis
 from noisysimon.lsn import LsnParams, sample_many
 from noisysimon.reductions import LpnSample, SolveFailure, lsn_sample_to_lpn
@@ -16,6 +17,7 @@ from noisysimon.solvers import (
     classical_period,
     expected_pooled_gauss_loops,
     expected_pooled_lsn_loops,
+    heldout_size,
     independence_probability,
     majority_verifier,
     pooled_gauss_lpn,
@@ -291,6 +293,25 @@ def test_pooled_gauss_noiseless_one_loop_typical():
     loops = [pooled_gauss_lpn(samples[128:], verifier, rng)[1].loop_count for _ in range(200)]
     assert np.mean(loops) < 1 / independence_probability(n, n) * 1.3
     assert min(loops) == 1
+
+
+def test_heldout_size_lets_pooled_gauss_verify_the_secret_at_any_tau():
+    """At n = 2..10 and tau in [0, 0.45], a held-out set of heldout_size(n, tau)
+    samples lets pooled_gauss_lpn return the secret. The rule gives 128 up to
+    tau = 0.124, the Fig. 9 rates among them."""
+    rng = np.random.default_rng(26)
+    for _ in range(40):
+        n, tau = int(rng.integers(2, 11)), float(rng.uniform(0.0, 0.45))
+        size = heldout_size(n, tau)
+        secret = int(rng.integers(1, 1 << n))
+        a = rng.integers(0, 1 << n, size=size + 16 * n)
+        b = gf2.parity(a & secret) ^ (rng.random(a.size) < tau)
+        samples = [LpnSample(BitVec(n, int(x)), int(y)) for x, y in zip(a, b)]
+        verifier = majority_verifier(samples[:size], tau)
+        assert pooled_gauss_lpn(samples[size:], verifier, rng)[0].value == secret, (n, tau)
+    assert all(heldout_size(n, tau) == 128 for n, tau in FIG9_TAUS.items())
+    assert heldout_size(7, 0.124) == 128 and heldout_size(40, 0.0) == 160
+    assert heldout_size(7, 0.3) == 450
 
 
 def test_majority_verifier_rejects_empty_heldout_set():
