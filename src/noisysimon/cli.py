@@ -116,6 +116,24 @@ def _out_dir(args) -> Path:
     return out
 
 
+QUALITY_COLUMNS = ["technique", "KL", "K", "tau"]
+
+
+def _quality_row(label: str, m: MeasurementMultiset, s: BitVec) -> List[str]:
+    """The `QUALITY_COLUMNS` row of multiset m under period s;
+    `quality_report` reads only the n and s of its params."""
+    q = quality_report(m, LsnParams(m.n, 0.1, s))
+    return [label, f"{q.kl:.6f}", f"{q.kolmogorov:.6f}", f"{q.tau:.6f}"]
+
+
+def _odd_z(n: int, s: BitVec, rng: np.random.Generator) -> BitVec:
+    """A uniform z with <z, s> = 1, drawn by rejection."""
+    zv = 0
+    while BitVec(n, zv).inner(s) != 1:
+        zv = int(rng.integers(0, 1 << n))
+    return BitVec(n, zv)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -206,7 +224,6 @@ def cmd_smooth(args) -> int:
     noise = _noise(args)
     out = _out_dir(args)
     f = SimonFunction.default(args.n)
-    params = LsnParams(args.n, 0.1, f.s)
     techniques = list(TECHNIQUES) if args.technique == "all" else [args.technique]
     if args.configs < 1 and any(t.startswith("permutation") for t in techniques):
         raise ValueError("--configs must be >= 1 for the permutation techniques")
@@ -217,9 +234,8 @@ def cmd_smooth(args) -> int:
         m = smoothed[tech]()
         slug = tech.replace("/", "-")
         m.to_csv(out / f"smooth_{slug}_n{args.n}.csv", header=_header(args, {"technique": tech}))
-        q = quality_report(m, params)
-        rows.append([tech, f"{q.kl:.6f}", f"{q.kolmogorov:.6f}", f"{q.tau:.6f}"])
-    _write_csv(out / f"quality_n{args.n}.csv", _header(args), ["technique", "KL", "K", "tau"], rows)
+        rows.append(_quality_row(tech, m, f.s))
+    _write_csv(out / f"quality_n{args.n}.csv", _header(args), QUALITY_COLUMNS, rows)
     return 0
 
 
@@ -227,13 +243,7 @@ def cmd_stats(args) -> int:
     out = _out_dir(args)
     m = MeasurementMultiset.from_csv(args.multiset)
     s = BitVec.from_string(args.s) if args.s else SimonFunction.default(m.n).s
-    q = quality_report(m, LsnParams(m.n, 0.1, s))
-    _write_csv(
-        out / "stats.csv",
-        _header(args),
-        ["technique", "KL", "K", "tau"],
-        [[args.label, f"{q.kl:.6f}", f"{q.kolmogorov:.6f}", f"{q.tau:.6f}"]],
-    )
+    _write_csv(out / "stats.csv", _header(args), QUALITY_COLUMNS, [_quality_row(args.label, m, s)])
     return 0
 
 
@@ -294,10 +304,7 @@ def cmd_reduction_check(args) -> int:
         rows.append(["to-subspace", "exact", f"{worst_bwd:.3e}", "1e-12", "PASS" if worst_bwd < 1e-12 else "FAIL"])
     else:
         rng = np.random.default_rng(args.seed)
-        zv = 0
-        while BitVec(args.n, zv).inner(s) != 1:
-            zv = int(rng.integers(0, 1 << args.n))
-        p_values = chi_square_check(params, BitVec(args.n, zv), args.samples, rng)
+        p_values = chi_square_check(params, _odd_z(args.n, s, rng), args.samples, rng)
         for direction, p in zip(("to-parity", "to-subspace"), p_values):
             rows.append([direction, "chi-square", f"{p:.4f}", "p>0.01", "PASS" if p > 0.01 else "FAIL"])
     _write_csv(
@@ -323,21 +330,16 @@ def cmd_solve(args) -> int:
         pool_params = LsnParams(n, tau, f.s)
         pool = SamplePool.from_ints(n, sample_many(pool_params, args.pool_size, rng))
         s, cost = pooled_lsn(f, pool, rng)
-    elif args.algorithm == "pooled-gauss":
+    else:  # pooled-gauss; argparse's choices allow no other name
         held_out = heldout_size(n, tau)
         if args.pool_size < held_out + n:
             raise ValueError(f"--pool-size must be >= {held_out + n} for pooled-gauss at n={n}")
         ys = sample_many(LsnParams(n, tau, f.s), args.pool_size, rng)
-        zv = 0
-        while BitVec(n, zv).inner(f.s) != 1:
-            zv = int(rng.integers(0, 1 << n))
-        a, b = lsn_samples_to_lpn(ys, BitVec(n, zv), rng)
+        a, b = lsn_samples_to_lpn(ys, _odd_z(n, f.s, rng), rng)
         samples = [LpnSample(BitVec(n, av), bv) for av, bv in zip(a.tolist(), b.tolist())]
         held = samples[:held_out]
         body = samples[len(held):]
         s, cost = pooled_gauss_lpn(body, majority_verifier(held, tau), rng)
-    else:
-        raise ValueError(args.algorithm)
     ok = f.verify_period(s) and s.value != 0
     _write_csv(
         out / "solve.csv",

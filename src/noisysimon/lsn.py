@@ -7,11 +7,11 @@ probability (1-tau)/2^(n-1) or tau/2^(n-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import BitVec, CapacityError, check_dense, orthogonal_basis, parity
+from .gf2 import BitVec, CapacityError, DimensionError, check_dense, orthogonal_basis, parity
 from .multiset import EmptyMultisetError, MeasurementMultiset
 
 MAX_PACKED_BITS = 63  # samples are packed into int64
@@ -38,16 +38,17 @@ class LsnParams:
         if self.s.value == 0:
             raise ValueError("period must be nonzero")
 
-    def with_tau(self, tau: float) -> "LsnParams":
-        return replace(self, tau=tau)
 
-
-def model_distribution(params: LsnParams) -> np.ndarray:
-    """Exact two-level outcome distribution."""
+def model_distribution(params: LsnParams, tau: float | None = None) -> np.ndarray:
+    """Exact two-level outcome distribution at params.tau, or at `tau` in
+    [0, 1] when it is given (a measured rate may reach 1/2 and beyond)."""
+    tau = params.tau if tau is None else tau
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau={tau} outside [0, 1]")
     check_dense(params.n)
     odd = parity(np.arange(1 << params.n, dtype=np.int64) & params.s.value)
     scale = 1.0 / (1 << (params.n - 1))
-    return np.where(odd == 0, (1.0 - params.tau) * scale, params.tau * scale)
+    return np.where(odd == 0, (1.0 - tau) * scale, tau * scale)
 
 
 def sample_many(params: LsnParams, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -67,12 +68,10 @@ def sample_many(params: LsnParams, count: int, rng: np.random.Generator) -> np.n
     return out
 
 
-def sample_multiset(params: LsnParams, count: int, rng: np.random.Generator) -> MeasurementMultiset:
-    return MeasurementMultiset.from_outcomes(params.n, sample_many(params, count, rng))
-
-
 def estimate_tau(m: MeasurementMultiset, s: BitVec) -> float:
     """Fraction of counted outcomes not orthogonal to s."""
+    if s.n != m.n:
+        raise DimensionError(f"period length {s.n} != outcome length {m.n}")
     if m.total == 0:
         raise EmptyMultisetError("cannot estimate the error rate of an empty multiset")
     bad = sum(c for o, c in m.counts.items() if (o & s.value).bit_count() & 1)

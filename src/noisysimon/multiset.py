@@ -82,10 +82,6 @@ class MeasurementMultiset:
     def from_outcomes(cls, n: int, outcomes: np.ndarray | Sequence[int]) -> "MeasurementMultiset":
         return cls(n, count_outcomes(np.asarray(outcomes)))
 
-    @classmethod
-    def from_counts(cls, n: int, counts: Mapping[int, int]) -> "MeasurementMultiset":
-        return cls(n, {int(o): int(c) for o, c in counts.items() if c})
-
     def count(self, outcome: int | BitVec) -> int:
         return self.counts.get(int(outcome), 0)
 

@@ -96,10 +96,6 @@ class NoiseParams:
                 raise ValueError(f"probability {p} outside [0, 1]")
 
     @classmethod
-    def ideal(cls) -> "NoiseParams":
-        return cls()
-
-    @classmethod
     def from_dict(cls, d: dict) -> "NoiseParams":
         """Parameters from their JSON object; absent rates are 0, eps2
         defaults to ten times eps1 once the given rates are checked, and a key

@@ -68,6 +68,8 @@ def double_flip_each(circuits: Sequence[Circuit], noise: NoiseParams, shots: int
                      seeds: Sequence[int]) -> List[MeasurementMultiset]:
     """[double_flip(c, noise, shots, seed) for c, seed in zip(circuits, seeds)],
     the plain and flipped runs of all circuits drawn in one batch."""
+    if len(circuits) != len(seeds):
+        raise ValueError(f"{len(circuits)} circuits but {len(seeds)} seeds")
     jobs = []
     for c, seed in zip(circuits, seeds):
         jobs += [(c, seed), (append_measurement_flips(c), seed + 1)]

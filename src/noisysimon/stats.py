@@ -25,12 +25,16 @@ def _check_distribution(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """Sum of p(y) log2(p(y)/q(y)) with 0 log 0 = 0."""
-    p = _check_distribution(p)
-    q = _check_distribution(q)
+def _check_pair(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    p, q = _check_distribution(p), _check_distribution(q)
     if p.shape != q.shape:
         raise ValueError("distributions live on different outcome spaces")
+    return p, q
+
+
+def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
+    """Sum of p(y) log2(p(y)/q(y)) with 0 log 0 = 0."""
+    p, q = _check_pair(p, q)
     support = p > 0
     if np.any(q[support] == 0):
         raise DivergenceError("first distribution has mass where the second is zero")
@@ -39,10 +43,7 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
 
 def kolmogorov_distance(p: np.ndarray, q: np.ndarray) -> float:
     """Largest single-outcome deviation."""
-    p = _check_distribution(p)
-    q = _check_distribution(q)
-    if p.shape != q.shape:
-        raise ValueError("distributions live on different outcome spaces")
+    p, q = _check_pair(p, q)
     return float(np.max(np.abs(p - q)))
 
 
@@ -67,15 +68,16 @@ def quality_report(m: MeasurementMultiset, params: LsnParams) -> QualityReport:
     """The three-column quality row: KL and K against the model at the
     estimated error rate, plus that estimate itself.
 
-    The model reference is rebuilt at tau estimated from this very multiset
-    (params.tau is ignored), mirroring how the model overlays are drawn.
+    The model reference is built at tau estimated from this very multiset
+    (params.tau is ignored), mirroring how the model overlays are drawn; that
+    estimate may be 1/2 or above, where no `LsnParams` exists.
     KL(model || empirical) is infinite when the model supports an outcome the
     multiset never saw, so a multiset too sparse for its model raises
     `DivergenceError`, saying how many such outcomes there are. Both are
     dense 2^n arrays: n above MAX_DENSE_BITS raises `CapacityError`.
     """
     tau_hat = estimate_tau(m, params.s)
-    model = model_distribution(params.with_tau(tau_hat))
+    model = model_distribution(params, tau_hat)
     emp = empirical_distribution(m)
     unseen = int(np.count_nonzero((model > 0) & (emp == 0)))
     if unseen:

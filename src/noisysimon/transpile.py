@@ -20,6 +20,7 @@ target wire.
 
 from __future__ import annotations
 
+import collections
 import functools
 import importlib.resources
 import itertools
@@ -359,6 +360,29 @@ def _interaction_edges(circuit: Circuit) -> FrozenSet[Tuple[str, str]]:
     return frozenset(edges)
 
 
+def _matching_exceeds_cover(edges: FrozenSet[Tuple[str, str]], graph: TopologyGraph) -> bool:
+    """True only if no embedding of the interaction edges into the device exists.
+
+    An embedding sends disjoint interaction edges to disjoint device edges,
+    and no set of disjoint device edges outnumbers a vertex cover of the
+    device. So a greedy matching of the interaction edges larger than a
+    greedy vertex cover of the device rules every embedding out; on a star
+    device (cover: the centre) this ends a search the forward check of
+    `_embeddings` would walk to its last leaf.
+    """
+    matched: set = set()
+    for a, b in sorted(edges):
+        if a not in matched and b not in matched:
+            matched |= {a, b}
+    left, cover = set(graph.edges), 0
+    while left:
+        degree = collections.Counter(v for e in left for v in e)
+        hub = max(degree, key=degree.__getitem__)
+        left = {e for e in left if hub not in e}
+        cover += 1
+    return len(matched) // 2 > cover
+
+
 def _embeddings(
     nodes: List[str],
     edges: FrozenSet[Tuple[str, str]],
@@ -462,7 +486,8 @@ def _search(
     all_labels = simon_wire_labels(f.n)
 
     configs: List[Configuration] = []
-    for emb in _embeddings(nodes, edges, graph):
+    embeddings = () if _matching_exceeds_cover(edges, graph) else _embeddings(nodes, edges, graph)
+    for emb in embeddings:
         configs.append(_fill_free_vertices(emb, all_labels, graph))
         if len(configs) >= limit:
             break

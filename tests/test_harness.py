@@ -208,6 +208,15 @@ def test_stats_command(tmp_path):
     assert 0.0 <= float(rows[0]["tau"]) <= 0.3
 
 
+def test_stats_row_at_a_measured_tau_above_one_half(tmp_path, capsys):
+    multiset = tmp_path / "m.csv"
+    MeasurementMultiset(2, {0b00: 40, 0b11: 5, 0b01: 30, 0b10: 25}).to_csv(multiset)
+    assert main(["--out-dir", str(tmp_path), "stats", "--multiset", str(multiset)]) == 0
+    assert capsys.readouterr().err == ""
+    lines = (tmp_path / "stats.csv").read_text().splitlines()
+    assert lines[-2:] == ["technique,KL,K,tau", "stored,0.304759,0.175000,0.550000"]
+
+
 def test_crossover_small(tmp_path):
     assert main(["--out-dir", str(tmp_path), "crossover", "--trials", "200"]) == 0
     rows = read_rows(tmp_path / "crossover.csv")

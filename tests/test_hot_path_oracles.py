@@ -91,6 +91,7 @@ from noisysimon.transpile import (
     _embeddings,
     _interaction_edges,
     _label_key,
+    _matching_exceeds_cover,
     circuit_norm,
     compile_simon_circuit,
     peephole_optimize,
@@ -580,6 +581,29 @@ def test_embeddings_match_references_with_competing_pendants():
                 if hub == nodes[0] or rng.random() < 0.5:
                     edges.add((hub, leaf))
         assert_embeddings_match_references(nodes, frozenset(edges), graph)
+
+
+def test_matching_cover_refusal_never_drops_an_embedding(graph):
+    """The search's up-front refusal fires only where the unpruned search
+    finds nothing: never for the shipped device, and on random devices (a
+    star among them in some draws) only with no embedding."""
+    for n in range(2, 8):
+        assert not _matching_exceeds_cover(simon_pattern(n)[1], graph)
+    rng = np.random.default_rng(20260810)
+    refused = 0
+    for trial in range(200):
+        device = random_device(rng, 4, 9, 0.3)
+        if trial % 4 == 0:
+            device = TopologyGraph.from_edges(device.n, [(0, v) for v in range(1, device.n)])
+        k = int(rng.integers(2, min(device.n, 6) + 1))
+        nodes = [f"p{i}" for i in range(k)]
+        edges = frozenset(
+            (a, b) for a, b in itertools.combinations(nodes, 2) if rng.random() < 0.4
+        )
+        if _matching_exceeds_cover(edges, device):
+            refused += 1
+            assert next(reference_embeddings(nodes, edges, device), None) is None
+    assert refused >= 20
 
 
 # ---------------------------------------------------------------------------

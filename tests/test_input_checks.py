@@ -6,13 +6,13 @@ import pytest
 
 from noisysimon.circuits import Circuit
 from noisysimon.gf2 import BitVec, CapacityError, DimensionError
-from noisysimon.lsn import LsnParams, model_distribution
+from noisysimon.lsn import LsnParams, estimate_tau, model_distribution
 from noisysimon.multiset import MeasurementMultiset
 from noisysimon.noise import NoiseParams
 from noisysimon.reductions import (LpnSample, chi_square_check, lpn_model_distribution,
                                    lpn_sample_to_lsn, lsn_sample_to_lpn)
 from noisysimon.simon import SimonFunction
-from noisysimon.smoothing import hamming_smooth
+from noisysimon.smoothing import double_flip_each, hamming_smooth
 from noisysimon.solvers import majority_verifier, pooled_gauss_lpn
 from noisysimon.statevector import exact_output_distribution
 from noisysimon.stats import (chi_square_gof, empirical_distribution, kl_divergence,
@@ -22,6 +22,7 @@ rng = np.random.default_rng(0)
 half, quarter = np.full(2, 0.5), np.full(4, 0.25)
 lpn = LpnSample(BitVec(3, 1), 0)
 wide = LsnParams(25, 0.1, BitVec(25, 3))  # 2^25 entries: refused before any array is made
+bare = Circuit(2, (), (0, 1))
 
 
 @pytest.mark.parametrize("make, error, message", [
@@ -80,6 +81,16 @@ wide = LsnParams(25, 0.1, BitVec(25, 3))  # 2^25 entries: refused before any arr
      "n=25 exceeds the 24-bit dense distribution limit"),
     (lambda: hamming_smooth(MeasurementMultiset(3, {1: 1}), BitVec(2, 1)), ValueError,
      "shift length 2 != outcome length 3"),
+    (lambda: estimate_tau(MeasurementMultiset(3, {1: 1}), BitVec(5, 3)), DimensionError,
+     "period length 5 != outcome length 3"),
+    (lambda: model_distribution(LsnParams(3, 0.1, BitVec(3, 3)), 1.5), ValueError,
+     r"tau=1.5 outside \[0, 1\]"),
+    (lambda: model_distribution(LsnParams(3, 0.1, BitVec(3, 3)), -0.25), ValueError,
+     r"tau=-0.25 outside \[0, 1\]"),
+    (lambda: double_flip_each([bare, bare], NoiseParams(), 8, [1]), ValueError,
+     "2 circuits but 1 seeds"),
+    (lambda: double_flip_each([bare], NoiseParams(), 8, [1, 2]), ValueError,
+     "1 circuits but 2 seeds"),
 ])
 def test_bad_input_raises_its_own_error(make, error, message):
     with pytest.raises(error, match=message) as info:

@@ -9,7 +9,6 @@ from noisysimon.lsn import (
     estimate_tau,
     model_distribution,
     sample_many,
-    sample_multiset,
 )
 from noisysimon.multiset import EmptyMultisetError, MeasurementMultiset
 from noisysimon.smoothing import hamming_smooth
@@ -65,7 +64,7 @@ def test_empirical_matches_model_in_total_variation():
     rng = np.random.default_rng(3)
     for n in (3, 5, 7):
         params = LsnParams(n, 0.12, BitVec(n, 0b11))
-        m = sample_multiset(params, 100_000, rng)
+        m = MeasurementMultiset.from_outcomes(params.n, sample_many(params, 100_000, rng))
         dist = model_distribution(params)
         emp = np.zeros(1 << n)
         for o, c in m.counts.items():
@@ -81,9 +80,9 @@ def test_single_sample_type():
 
 def test_estimate_tau_examples():
     s = BitVec.from_string("011")
-    m = MeasurementMultiset.from_counts(3, {0b000: 10, 0b011: 6})
+    m = MeasurementMultiset(3, {0b000: 10, 0b011: 6})
     assert estimate_tau(m, s) == 0.0
-    m2 = MeasurementMultiset.from_counts(3, {0b000: 8192 - 819, 0b010: 819})
+    m2 = MeasurementMultiset(3, {0b000: 8192 - 819, 0b010: 819})
     assert abs(estimate_tau(m2, s) - 0.0999755859375) < 1e-12
     with pytest.raises(EmptyMultisetError):
         estimate_tau(MeasurementMultiset(3, {}), s)
@@ -92,7 +91,7 @@ def test_estimate_tau_examples():
 def test_estimate_tau_within_three_sigma_of_model():
     params = LsnParams(5, 0.17, BitVec.from_string("00011"))
     rng = np.random.default_rng(5)
-    m = sample_multiset(params, 100_000, rng)
+    m = MeasurementMultiset.from_outcomes(params.n, sample_many(params, 100_000, rng))
     sigma = math.sqrt(0.17 * 0.83 / 100_000)
     assert abs(estimate_tau(m, params.s) - 0.17) < 3 * sigma
 
@@ -100,7 +99,7 @@ def test_estimate_tau_within_three_sigma_of_model():
 def test_hamming_shift_preserves_tau_for_even_weight_period():
     params = LsnParams(6, 0.14, BitVec.from_string("000011"))
     rng = np.random.default_rng(6)
-    m = sample_multiset(params, 20_000, rng)
+    m = MeasurementMultiset.from_outcomes(params.n, sample_many(params, 20_000, rng))
     ones = BitVec.ones(6)
     assert ones.inner(params.s) == 0
     smoothed = hamming_smooth(m, ones)

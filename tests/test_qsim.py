@@ -105,7 +105,7 @@ def test_sampling_is_not_limited_by_width():
     """Sampling takes the support, not 2^width amplitudes: 40 wires are fine."""
     circ = Circuit(40, (Gate(H, 39), Gate(CNOT, 0, control=39), Gate(X, 20)), (0, 39, 20))
     assert exact_output_distribution(circ).tolist() == [0, 0, 0, 0, 0.5, 0, 0, 0.5]
-    m = sample_noisy(circ, NoiseParams.ideal(), 4096, seed=7)
+    m = sample_noisy(circ, NoiseParams(), 4096, seed=7)
     assert set(m.counts) == {0b100, 0b111} and m.total == 4096
 
 
@@ -114,7 +114,7 @@ def test_support_capacity_error():
     wires = MAX_DENSE_BITS + 1
     circ = Circuit(wires, tuple(Gate(H, q) for q in range(wires)), tuple(range(wires)))
     with pytest.raises(CapacityError, match="support limit"):
-        sample_noisy(circ, NoiseParams.ideal(), 16, seed=0)
+        sample_noisy(circ, NoiseParams(), 16, seed=0)
 
 
 def test_capacity_error():
@@ -152,7 +152,7 @@ def test_noiseless_sampling_matches_exact_distribution(compiled):
     for n in (2, 5, 7):
         _, _, _, circ = compiled[n]
         dist = exact_output_distribution(circ)
-        m = sample_noisy(circ, NoiseParams.ideal(), 8192, seed=13)
+        m = sample_noisy(circ, NoiseParams(), 8192, seed=13)
         emp = np.zeros(dist.size)
         for o, c in m.counts.items():
             emp[o] = c / m.total
@@ -162,7 +162,7 @@ def test_noiseless_sampling_matches_exact_distribution(compiled):
         assert 0.5 * np.abs(emp - dist).sum() < 0.05
 
 
-def test_sampling_deterministic_and_worker_split(compiled):
+def test_sampling_deterministic_for_each_seed(compiled):
     _, _, _, circ = compiled[4]
     noise = NoiseParams.from_dict({"eps1": 0.003, "crosstalk": 0.004,
                                   "default_p01": 0.01, "default_p10": 0.05})
@@ -264,7 +264,7 @@ def _batch_circuit(compiled, n, flipped):
 @example(jobs=[((2, True), 5), ((7, False), 5), ((3, False), 6), ((3, True), 0)], shots=1,
          ideal=True)
 def test_batch_draws_what_each_call_draws(compiled, noise, jobs, shots, ideal):
-    model = NoiseParams.ideal() if ideal else noise
+    model = NoiseParams() if ideal else noise
     jobs = [(_batch_circuit(compiled, *key), seed) for key, seed in jobs]
     expected = [sample_noisy(c, model, shots, seed=seed) for c, seed in jobs]
     assert sample_noisy_batch(jobs, model, shots) == expected
@@ -413,7 +413,7 @@ def test_optimized_circuit_equivalent_to_built(compiled):
 
 def test_multiset_csv_round_trip(tmp_path, compiled):
     _, _, _, circ = compiled[3]
-    m = sample_noisy(circ, NoiseParams.ideal(), 512, seed=5)
+    m = sample_noisy(circ, NoiseParams(), 512, seed=5)
     path = tmp_path / "m.csv"
     m.to_csv(path, header={"seed": "5"})
     back = MeasurementMultiset.from_csv(path)
@@ -462,9 +462,9 @@ def test_noise_params_validation():
 
 
 def test_estimate_tau_examples():
-    m = MeasurementMultiset.from_counts(3, {0b000: 4, 0b011: 4})
+    m = MeasurementMultiset(3, {0b000: 4, 0b011: 4})
     assert estimate_tau(m, BitVec.from_string("011")) == 0.0
-    m2 = MeasurementMultiset.from_counts(3, {0b000: 8192 - 819, 0b001: 819})
+    m2 = MeasurementMultiset(3, {0b000: 8192 - 819, 0b001: 819})
     assert abs(estimate_tau(m2, BitVec.from_string("011")) - 819 / 8192) < 1e-15
 
 

@@ -107,7 +107,7 @@ def test_circuit_json_round_trip(tmp_path_factory, circuit, data):
        .filter(lambda d: len(set(d.values())) == len(d)))
 @example({"x\u00b2": 0, "y1": 1})  # "\u00b2".isdigit(), but int() rejects it
 @example({"x01": 0, "x1": 1})  # one index, two labels: ordered by their text
-def test_configuration_json_round_trip(assign):
+def test_configuration_dict_round_trip(assign):
     config = Configuration.from_dict(assign)
     back = Configuration.from_dict(config.as_dict())
     assert back == config and back.as_dict() == assign

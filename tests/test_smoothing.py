@@ -3,7 +3,7 @@ import pytest
 
 from noisysimon.circuits import append_measurement_flips
 from noisysimon.gf2 import BitVec, CapacityError
-from noisysimon.lsn import LsnParams, estimate_tau, model_distribution, sample_multiset
+from noisysimon.lsn import LsnParams, estimate_tau, model_distribution, sample_many
 from noisysimon.multiset import MeasurementMultiset
 from noisysimon.noise import NoiseParams, sample_noisy
 from noisysimon.simon import SimonFunction
@@ -37,7 +37,7 @@ def test_some_candidate_is_orthogonal_for_every_period():
 
 
 def test_hamming_smooth_examples():
-    m = MeasurementMultiset.from_counts(2, {0b00: 5, 0b10: 3})
+    m = MeasurementMultiset(2, {0b00: 5, 0b10: 3})
     out = hamming_smooth(m, BitVec.from_string("11"))
     assert out.counts == {0b00: 5, 0b10: 3, 0b11: 5, 0b01: 3}
     doubled = hamming_smooth(m, BitVec.zeros(2))
@@ -47,7 +47,8 @@ def test_hamming_smooth_examples():
 
 def test_hamming_smooth_preserves_tau_exactly():
     params = LsnParams(5, 0.2, BitVec.from_string("00011"))
-    m = sample_multiset(params, 5000, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    m = MeasurementMultiset.from_outcomes(params.n, sample_many(params, 5000, rng))
     v = choose_hamming_vector(params.s)
     assert estimate_tau(hamming_smooth(m, v), params.s) == estimate_tau(m, params.s)
 
@@ -157,7 +158,7 @@ def test_permutation_narrows_equal_weight_gaps(graph, noise, compiled):
 
 def test_double_flip_noiseless_matches_exact_distribution(graph, compiled):
     f, cfg, _, circ = compiled[3]
-    df = double_flip(circ, NoiseParams.ideal(), 4096, seed=29)
+    df = double_flip(circ, NoiseParams(), 4096, seed=29)
     assert df.total == 2 * 4096
     dist = exact_output_distribution(circ)
     emp = np.zeros(dist.size)
@@ -219,7 +220,7 @@ def test_model_perfect_input_is_not_degraded():
     the divergence at the sampling floor instead of adding structure."""
     params = LsnParams(5, 0.11, BitVec.from_string("00011"))
     rng = np.random.default_rng(43)
-    m = sample_multiset(params, 100_000, rng)
+    m = MeasurementMultiset.from_outcomes(params.n, sample_many(params, 100_000, rng))
     v = choose_hamming_vector(params.s)
     model = model_distribution(params)
 

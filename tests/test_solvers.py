@@ -365,7 +365,7 @@ def test_runtime_exponents_strictly_increasing():
 def test_sample_pool_from_multiset():
     from noisysimon.multiset import MeasurementMultiset
 
-    m = MeasurementMultiset.from_counts(3, {0b011: 2, 0b100: 1})
+    m = MeasurementMultiset(3, {0b011: 2, 0b100: 1})
     pool = SamplePool.from_multiset(m)
     assert len(pool) == 3
     assert sorted(pool.values) == [0b011, 0b011, 0b100]

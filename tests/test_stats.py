@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from noisysimon.gf2 import BitVec
-from noisysimon.lsn import LsnParams, model_distribution, sample_multiset
+from noisysimon.lsn import LsnParams, model_distribution, sample_many
 from noisysimon.multiset import EmptyMultisetError, MeasurementMultiset
 from noisysimon.stats import (
     DivergenceError,
@@ -52,10 +52,10 @@ def test_kolmogorov_examples_and_metric_properties():
 
 
 def test_empirical_distribution_examples():
-    m = MeasurementMultiset.from_counts(2, {0b00: 1, 0b11: 1})
+    m = MeasurementMultiset(2, {0b00: 1, 0b11: 1})
     emp = empirical_distribution(m)
     assert np.allclose(emp, [0.5, 0, 0, 0.5])
-    point = empirical_distribution(MeasurementMultiset.from_counts(2, {0b10: 7}))
+    point = empirical_distribution(MeasurementMultiset(2, {0b10: 7}))
     assert point[0b10] == 1.0 and point.sum() == 1.0
     with pytest.raises(EmptyMultisetError):
         empirical_distribution(MeasurementMultiset(2, {}))
@@ -64,7 +64,7 @@ def test_empirical_distribution_examples():
 def test_quality_report_on_exact_scaled_model():
     params = LsnParams(2, 0.25, BitVec.from_string("11"))
     counts = {y: int(p * 800) for y, p in enumerate(model_distribution(params))}
-    m = MeasurementMultiset.from_counts(2, counts)
+    m = MeasurementMultiset(2, counts)
     q = quality_report(m, params)
     assert q.tau == 0.25
     assert q.kl == 0.0 and q.kolmogorov == 0.0
@@ -72,7 +72,8 @@ def test_quality_report_on_exact_scaled_model():
 
 def test_quality_report_near_zero_on_model_samples():
     params = LsnParams(5, 0.12, BitVec.from_string("00011"))
-    m = sample_multiset(params, 1_000_000, np.random.default_rng(2))
+    rng = np.random.default_rng(2)
+    m = MeasurementMultiset.from_outcomes(params.n, sample_many(params, 1_000_000, rng))
     q = quality_report(m, params)
     assert q.kl < 0.001
     assert q.kolmogorov < 0.002
@@ -81,15 +82,29 @@ def test_quality_report_near_zero_on_model_samples():
 
 def test_quality_report_deterministic():
     params = LsnParams(3, 0.1, BitVec.from_string("011"))
-    m = sample_multiset(params, 5000, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    m = MeasurementMultiset.from_outcomes(params.n, sample_many(params, 5000, rng))
     assert quality_report(m, params) == quality_report(m, params)
+
+
+def test_quality_report_at_any_measured_tau():
+    """A measured rate of 1/2 or more, where no LsnParams exists, still gets
+    its row: the reference is the two-level model at that rate."""
+    params = LsnParams(2, 0.1, BitVec.from_string("11"))
+    q = quality_report(MeasurementMultiset(2, {0b00: 40, 0b11: 5, 0b01: 30, 0b10: 25}), params)
+    assert q.tau == 0.55
+    assert (f"{q.kl:.6f}", f"{q.kolmogorov:.6f}") == ("0.304759", "0.175000")
+    q = quality_report(MeasurementMultiset(2, {0b01: 3, 0b10: 5}), params)
+    assert q.tau == 1.0 and q.kolmogorov == 0.125
+    assert q.kl == pytest.approx(0.5 * np.log2(0.5 / 0.375) + 0.5 * np.log2(0.5 / 0.625))
+    assert quality_report(MeasurementMultiset(2, {0b00: 3, 0b11: 5}), params).tau == 0.0
 
 
 def test_quality_report_on_sparse_multiset_names_unseen_outcomes():
     params = LsnParams(3, 0.1, BitVec.from_string("011"))
     counts = {y: 10 for y in range(8) if y not in (1, 6)}  # the model supports all 8
     with pytest.raises(DivergenceError, match=r"2 of the 8 outcomes .* 60 shots.*--shots"):
-        quality_report(MeasurementMultiset.from_counts(3, counts), params)
+        quality_report(MeasurementMultiset(3, counts), params)
 
 
 def test_smoothing_order_on_synthetic_biased_data(graph, noise, compiled):

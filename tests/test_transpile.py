@@ -298,6 +298,16 @@ def test_star_device_search_ends_in_seconds():
     assert time.perf_counter() - start < 10.0
 
 
+@pytest.mark.parametrize("n", range(3, 8))
+def test_star15_search_refuses_under_a_second(n):
+    """Pendants competing for the centre: no disjoint pair of interaction
+    edges fits on a star, so the search refuses before it walks the tree."""
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="no swap-free placement"):
+        search_min_configuration(SimonFunction.default(n), star(15))
+    assert time.perf_counter() - start < 1.0
+
+
 def _route_then_peephole(f, graph, config):
     return peephole_optimize(route(transpile._optimized_logical(f), graph, config))
 
