@@ -68,6 +68,26 @@ def sample_many(params: LsnParams, count: int, rng: np.random.Generator) -> np.n
     return out
 
 
+def integers_below(rng: np.random.Generator, size: int, k: int) -> list:
+    """`rng.integers(0, size, size=k).tolist()`, value for value, leaving rng
+    in the same state, without numpy's per-call set-up. For 1 < size <= 2^32
+    numpy takes each value as the top 32 bits of a 32-bit word times size
+    (Lemire's method), redrawing while the low 32 bits fall below 2^32 mod
+    size; this reads those words from the bit generator's `next_uint32`. It
+    holds the generator's lock as numpy does, since each ctypes call
+    releases the interpreter lock."""
+    if not 1 < size <= 1 << 32:
+        return rng.integers(0, size, size=k).tolist()
+    bits = rng.bit_generator
+    word, state = bits.ctypes.next_uint32, bits.ctypes.state
+    floor, out = (1 << 32) % size, []
+    with bits.lock:
+        while len(out) < k:
+            if (m := word(state) * size) & 0xFFFFFFFF >= floor:
+                out.append(m >> 32)
+    return out
+
+
 def estimate_tau(m: MeasurementMultiset, s: BitVec) -> float:
     """Fraction of counted outcomes not orthogonal to s."""
     if s.n != m.n:

@@ -16,7 +16,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .gf2 import BitVec, DimensionError, check_dense, parity
-from .lsn import LsnParams, model_distribution, sample_many
+from .lsn import LsnParams, integers_below, model_distribution, sample_many
 from .multiset import read_table, write_table
 from .stats import chi_square_gof
 
@@ -50,7 +50,7 @@ def lsn_sample_to_lpn(y: BitVec, z: BitVec, rng: np.random.Generator) -> LpnSamp
     """(y + b z, b) for a fresh uniform bit b."""
     if y.n != z.n:
         raise DimensionError(f"length mismatch: {y.n} vs {z.n}")
-    b = int(rng.integers(0, 2))
+    b, = integers_below(rng, 2, 1)
     a = y ^ z if b else y
     return LpnSample(a, b)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .gf2 import (MAX_DENSE_BITS, BitVec, CapacityError, DimensionError, nullspace_ints,
                   rank_ints, solve_unique)
-from .lsn import check_tau
+from .lsn import check_tau, integers_below
 from .multiset import MeasurementMultiset
 from .reductions import LpnSample, SolveFailure
 from .simon import SimonFunction
@@ -49,6 +49,8 @@ class SamplePool:
     def from_ints(cls, n: int, values) -> "SamplePool":
         """A pool of the ints `values` (a sequence or an array), each in [0, 2^n)."""
         arr = np.asarray(values)
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ValueError(f"pool samples of dtype {arr.dtype}, not integers")
         if arr.size == 0 or arr.min() < 0 or arr.max() >= 1 << n:
             raise ValueError(f"empty pool or a sample out of range for n={n}")
         return cls(n, tuple(arr.tolist()))
@@ -167,11 +169,13 @@ def _draws(rng: np.random.Generator, size: int, k: int, rank: int, max_loops: in
     gives it once, without the generator; one of fewer than max_loops sets
     fails once each has been drawn, so a draw's outcome must be a function of
     its set. Each set is the next `rng.integers(0, size, size=k)` without a
-    repeat, but calls draw 1, 1, 1, 1, 8, 16, 32, ... such draws: a bounded
-    draw takes one 32-bit word per value and keeps no buffer (Lemire's
-    method), so stopped mid-block, it resets the generator and redraws the
-    values used, leaving it as one call per draw would. Close it however the
-    solve stops; draw nothing from rng meanwhile."""
+    repeat, but calls draw 1, 1, 1, 1, 8, 16, 32, ... such draws. A bounded
+    draw takes one 32-bit word per value (Lemire's method), the four single
+    draws read theirs through `integers_below`, and the only buffer between
+    words (PCG64's pending half of a 64-bit word, `has_uint32`/`uinteger`)
+    is part of `bit_generator.state`; so stopped mid-block, it restores the
+    state and redraws the values used, leaving it as one call per draw
+    would. Close it however the solve stops; draw nothing from rng meanwhile."""
     if rank < k:
         raise SolveFailure(f"the pool has rank {rank} < {k}: no draw of {k} has full rank")
     total = math.comb(size, k)
@@ -183,8 +187,11 @@ def _draws(rng: np.random.Generator, size: int, k: int, rank: int, max_loops: in
     while loop < max_loops:
         block = 1 << (calls - 1) if calls > 3 else 1
         calls += 1
-        state = rng.bit_generator.state if block > 1 else None
-        vals = rng.integers(0, size, size=block * k).tolist()
+        if block == 1:
+            vals = integers_below(rng, size, k)
+        else:
+            state = rng.bit_generator.state
+            vals = rng.integers(0, size, size=block * k).tolist()
         try:
             for used in range(k, len(vals) + 1, k):
                 if len(set(idx := vals[used - k:used])) == k:

@@ -38,7 +38,10 @@ whether the solve succeeds, reaches `max_loops`, exhausts its pool, or its
 verifier or a drawn sample raises. `reference_majority_verifier` takes the
 held-out mismatch rate as a numpy mean; the bitsliced verifier must make the
 same decision for every candidate, also at a mismatch count exactly at the
-threshold.
+threshold. `integers_below`, which reads 32-bit words straight from the bit
+generator, must give the values of one `integers` call and leave the
+generator in its state, on every numpy bit generator and with half of a
+64-bit word pending or not, and must draw only under the generator's lock.
 """
 
 import itertools
@@ -51,6 +54,7 @@ from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
 import math
+import pickle
 import sys
 import threading
 from contextlib import closing
@@ -68,6 +72,7 @@ from noisysimon.circuits import (
 )
 from noisysimon.gf2 import (BitVec, DimensionError, _echelon, nullspace_ints, parity, solve_ints,
                             solve_unique)
+from noisysimon.lsn import integers_below
 from noisysimon.noise import NoiseParams, _sample_chunk, _split_field
 from noisysimon.reductions import LpnSample, SolveFailure
 from noisysimon.simon import SimonFunction
@@ -1021,6 +1026,43 @@ def test_draws_match_at_every_stop_past_the_third_block(size, k, max_loops):
             for stop in range(1, 66)]
     exhausted = any("allows 8 draws of 7" in str(end) for end in ends)
     assert exhausted == (size == 8 and max_loops >= 12)
+
+
+BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox,
+                  np.random.SFC64)
+EDGE_SIZES = (1, 2, 3, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(BIT_GENERATORS),
+       st.one_of(st.sampled_from(EDGE_SIZES), st.integers(1, 2**41)),
+       st.integers(0, 70), st.integers(0, 3), st.integers(0, 2**32 - 1))
+@example(np.random.PCG64, 2**31 + 1, 70, 1, 0)  # rejections, half a word pending
+def test_integers_below_matches_one_integers_call(bit_generator, size, k, earlier, seed):
+    """The values, end state and next draws of one `integers(0, size, size=k)`
+    call, after 0 to 3 earlier 32-bit draws (so PCG64 has half of a 64-bit
+    word pending after an odd number of them)."""
+    rng, ref = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+    for gen in (rng, ref):
+        for _ in range(earlier):
+            gen.integers(0, 2**32)  # one 32-bit word
+    assert integers_below(rng, size, k) == ref.integers(0, size, size=k).tolist()
+    assert pickle.dumps(rng.bit_generator.state) == pickle.dumps(ref.bit_generator.state)
+    assert rng.integers(0, 2**32) == ref.integers(0, 2**32)
+    assert rng.integers(0, 1 << 62) == ref.integers(0, 1 << 62)
+
+
+def test_integers_below_draws_under_the_generator_lock():
+    """While another thread holds the generator's lock, a draw waits for it."""
+    rng, got = np.random.default_rng(0), []
+    worker = threading.Thread(target=lambda: got.append(integers_below(rng, 7, 5)))
+    with rng.bit_generator.lock:
+        worker.start()
+        worker.join(0.1)
+        assert worker.is_alive() and not got
+    worker.join(10)
+    assert not worker.is_alive()
+    assert got == [np.random.default_rng(0).integers(0, 7, size=5).tolist()]
 
 
 def reference_pooled_gauss(pool, verifier, rng, max_loops):

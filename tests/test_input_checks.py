@@ -13,7 +13,7 @@ from noisysimon.reductions import (LpnSample, chi_square_check, lpn_model_distri
                                    lpn_sample_to_lsn, lsn_sample_to_lpn)
 from noisysimon.simon import SimonFunction
 from noisysimon.smoothing import double_flip_each, hamming_smooth
-from noisysimon.solvers import majority_verifier, pooled_gauss_lpn
+from noisysimon.solvers import SamplePool, majority_verifier, pooled_gauss_lpn
 from noisysimon.statevector import exact_output_distribution
 from noisysimon.stats import (chi_square_gof, empirical_distribution, kl_divergence,
                               kolmogorov_distance)
@@ -62,6 +62,10 @@ bare = Circuit(2, (), (0, 1))
     (lambda: pooled_gauss_lpn([lpn, LpnSample(BitVec(3, 2), 0), LpnSample(BitVec(4, 0b1100), 0)],
                               lambda s: True, rng), DimensionError,
      "pool sample 2 has length 4, not n=3"),
+    (lambda: SamplePool.from_ints(3, [1.5, 2, 3]), ValueError,
+     "pool samples of dtype float64, not integers"),
+    (lambda: SamplePool.from_ints(3, [True, False]), ValueError,
+     "pool samples of dtype bool, not integers"),
     (lambda: majority_verifier([lpn, LpnSample(BitVec(4, 1), 0)], 0.1), DimensionError,
      "held-out samples differ in length from n=3"),
     (lambda: majority_verifier([lpn, LpnSample(BitVec(3, 2), 2)], 0.1), ValueError,
