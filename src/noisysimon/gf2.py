@@ -103,7 +103,7 @@ class BitVec:
         return self.value.bit_count()
 
 
-def _echelon(values: Sequence[int], n: int, stop: Optional[int] = None) -> List[int]:
+def _echelon(values: Sequence[int], stop: Optional[int] = None) -> List[int]:
     """Row echelon basis, one row per pivot (its lowest set bit), in the order
     found; with `stop`, that of the first rows of `values` that span `stop`
     dimensions. Each row's pivot is clear in every row found after it, so a
@@ -120,10 +120,24 @@ def _echelon(values: Sequence[int], n: int, stop: Optional[int] = None) -> List[
     return list(rows.values())
 
 
+def _independent(values: Sequence[int], reject: int = 0) -> Optional[List[int]]:
+    """`_echelon(values)` of rows that must all be independent, or None at the
+    first row that reduces to 0 or to `reject`."""
+    rows = {}
+    for v in values:
+        for bit, row in rows.items():
+            if v & bit:
+                v ^= row
+        if v == 0 or v == reject:
+            return None
+        rows[v & -v] = v
+    return list(rows.values())
+
+
 def rank_ints(values: Sequence[int], n: int, stop: Optional[int] = None) -> int:
     """The rank of the rows, or `stop` if it is at least that: the
     elimination ends once `stop` independent rows are found."""
-    return len(_echelon(values, n, stop))
+    return len(_echelon(values, stop))
 
 
 def _back(basis: Sequence[int], x: int) -> int:
@@ -152,7 +166,14 @@ def _free(basis: Sequence[int], n: int) -> List[int]:
 
 def nullspace_ints(values: Sequence[int], n: int) -> List[int]:
     """Basis of {x : <x, row> = 0 for all rows}, one vector per free column."""
-    return _free(_echelon(values, n), n)
+    return _free(_echelon(values), n)
+
+
+def kernel_vector(rows: Sequence[int], n: int) -> Optional[int]:
+    """`nullspace_ints(rows, n)[0]`, the one nonzero kernel vector, if the rows
+    have rank n - 1, else None; n - 1 rows stop at the first dependent one."""
+    basis = _independent(rows) if len(rows) == n - 1 else _echelon(rows)
+    return _free(basis, n)[0] if basis is not None and len(basis) == n - 1 else None
 
 
 def solve_ints(rows: Sequence[int], n: int) -> Tuple[Optional[int], List[int]]:
@@ -163,15 +184,17 @@ def solve_ints(rows: Sequence[int], n: int) -> Tuple[Optional[int], List[int]]:
     0 = 1), and null is a basis of the nullspace of the a_i, so the solutions
     are x + span(null). The back pass takes the label as a coordinate set to 1.
     """
-    basis, label = _echelon(rows, n + 1), 1 << n
+    basis, label = _echelon(rows), 1 << n
     return (None if label in basis else _back(basis, label) ^ label), _free(basis, n)
 
 
 def solve_unique(rows: Sequence[int], n: int) -> Optional[int]:
     """`solve_ints`' x if the a_i have rank n, else None; a singular or
-    inconsistent system costs the forward pass only."""
-    basis, label = _echelon(rows, n + 1), 1 << n
-    if len(basis) != n or label in basis:
+    inconsistent system costs the forward pass only, and n rows stop at the
+    first that reduces to 0 or to 1 << n (every earlier pivot is an a-bit)."""
+    label = 1 << n
+    basis = _independent(rows, label) if len(rows) == n else _echelon(rows)
+    if basis is None or len(basis) != n or label in basis:
         return None
     return _back(basis, label) ^ label
 

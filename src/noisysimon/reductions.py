@@ -16,7 +16,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .gf2 import BitVec, DimensionError, check_dense, parity
-from .lsn import LsnParams, integers_below, model_distribution, sample_many
+from .lsn import LsnParams, model_distribution, sample_many
 from .multiset import read_table, write_table
 from .stats import chi_square_gof
 
@@ -47,12 +47,14 @@ def lpn_samples_from_csv(path) -> List[LpnSample]:
 
 
 def lsn_sample_to_lpn(y: BitVec, z: BitVec, rng: np.random.Generator) -> LpnSample:
-    """(y + b z, b) for a fresh uniform bit b."""
+    """(y + b z, b) for a fresh uniform bit b, `rng.integers(0, 2)` value for
+    value and leaving rng in the same state: the top bit of one 32-bit word."""
     if y.n != z.n:
         raise DimensionError(f"length mismatch: {y.n} vs {z.n}")
-    b, = integers_below(rng, 2, 1)
-    a = y ^ z if b else y
-    return LpnSample(a, b)
+    bits = rng.bit_generator
+    with bits.lock:  # `lsn.integers_below(rng, 2, 1)`: at size 2 Lemire's floor 2^32 mod 2 is 0
+        b = bits.ctypes.next_uint32(bits.ctypes.state) >> 31
+    return LpnSample(BitVec(y.n, y.value ^ z.value) if b else y, b)
 
 
 def lsn_samples_to_lpn(

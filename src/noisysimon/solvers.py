@@ -15,7 +15,7 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gf2 import (MAX_DENSE_BITS, BitVec, CapacityError, DimensionError, nullspace_ints,
+from .gf2 import (MAX_DENSE_BITS, BitVec, CapacityError, DimensionError, kernel_vector,
                   rank_ints, solve_unique)
 from .lsn import check_tau, integers_below
 from .multiset import MeasurementMultiset
@@ -219,10 +219,10 @@ def pooled_lsn(
 ) -> Tuple[BitVec, CostReport]:
     """Repeatedly draw n-1 distinct pool samples (`_draws`, which leaves rng
     as one `integers` call per draw would); on a linearly independent,
-    error-free draw the one-dimensional nullspace is the period, which the
-    function oracle confirms. Every completed draw counts as one loop. n-1
-    rows have rank n-1 exactly when their nullspace is one-dimensional, so
-    one elimination is both the rank test and the solve."""
+    error-free draw the one nonzero kernel vector is the period, which the
+    function oracle confirms. Every completed draw counts as one loop.
+    `gf2.kernel_vector` is both the rank test and the solve: it ends at the
+    first drawn row that depends on those before it."""
     vals = pool.values
     n = f.n
     if pool.n != n:
@@ -232,10 +232,10 @@ def pooled_lsn(
     queries = 0
     with closing(_draws(rng, len(vals), n - 1, pool.capped_rank, max_loops, "period")) as draws:
         for loops, idx in draws:
-            null = nullspace_ints([vals[i] for i in idx], n)
-            if len(null) == 1:
+            x = kernel_vector([vals[i] for i in idx], n)
+            if x is not None:
                 queries += 1
-                if f.verify_period(period := BitVec(n, null[0])):
+                if f.verify_period(period := BitVec(n, x)):
                     return period, CostReport(loops, queries)
 
 

@@ -15,7 +15,9 @@ brute-force nullspace. `reference_free_solution` and `reference_nullspace`
 pick, from the brute-force solution set, the vectors that `solve_ints` and
 `nullspace_ints` must return exactly (free coordinates 0, or one free
 coordinate set, in ascending order), since `lsn.sample_many` consumes the
-basis in order.
+basis in order. `kernel_vector` must return that nullspace's one vector
+exactly when it is one-dimensional; given n - 1 rows it, and `solve_unique`
+given n, must read the rows only up to the first dependent one.
 `reference_exact_distribution` is the complex-amplitude statevector (moved
 axes, complex128 from |0...0>); the real-valued kernels of the statevector
 oracle (`statevector_oracle.py`) must give byte-identical outcome
@@ -41,7 +43,9 @@ same decision for every candidate, also at a mismatch count exactly at the
 threshold. `integers_below`, which reads 32-bit words straight from the bit
 generator, must give the values of one `integers` call and leave the
 generator in its state, on every numpy bit generator and with half of a
-64-bit word pending or not, and must draw only under the generator's lock.
+64-bit word pending or not, and must draw only under the generator's lock;
+the label bit of `lsn_sample_to_lpn` must be that of `integers(0, 2)` between
+such draws.
 """
 
 import itertools
@@ -70,11 +74,11 @@ from noisysimon.circuits import (
     append_measurement_flips,
     build_simon_circuit,
 )
-from noisysimon.gf2 import (BitVec, DimensionError, _echelon, nullspace_ints, parity, solve_ints,
-                            solve_unique)
+from noisysimon.gf2 import (BitVec, DimensionError, _echelon, kernel_vector, nullspace_ints, parity,
+                            solve_ints, solve_unique)
 from noisysimon.lsn import integers_below
 from noisysimon.noise import NoiseParams, _sample_chunk, _split_field
-from noisysimon.reductions import LpnSample, SolveFailure
+from noisysimon.reductions import LpnSample, SolveFailure, lsn_sample_to_lpn
 from noisysimon.simon import SimonFunction
 from noisysimon.smoothing import permutation_configurations
 from noisysimon.solvers import (
@@ -656,7 +660,7 @@ def row_sets(draw):
 @given(row_sets())
 def test_echelon_and_nullspace_match_references(case):
     n, values = case
-    rows, ref = _echelon(values, n), reference_echelon(values, n)
+    rows, ref = _echelon(values), reference_echelon(values, n)
     pivots = [row & -row for row in rows]
     assert len(set(pivots)) == len(pivots)
     assert all(not row & bit for k, bit in enumerate(pivots) for row in rows[k + 1:])
@@ -726,6 +730,55 @@ def test_solve_ints_solution_is_pinned(case):
     x, null = solve_ints(packed, n)
     assert x == reference_free_solution(rows, labels, n)
     assert null == reference_nullspace(rows, n)
+
+
+class CountedRows(list):
+    """A list of rows that counts the rows an elimination reads from it."""
+
+    read = 0
+
+    def __iter__(self):
+        for v in list.__iter__(self):
+            self.read += 1
+            yield v
+
+
+def first_dependent(values, n):
+    """The number of leading rows up to and including the first that lies in
+    the span of those before it, or len(values) if they are independent."""
+    return next((i + 1 for i in range(len(values))
+                 if len(reference_echelon(values[:i + 1], n)) == i), len(values))
+
+
+@st.composite
+def kernel_cases(draw):
+    """n = 1..10 and 0 to n + 2 rows, often exactly n - 1, with zero rows and
+    sometimes one row repeated."""
+    n = draw(st.integers(1, 10))
+    size = draw(st.one_of(st.just(n - 1), st.integers(0, n + 2)))
+    rows = draw(st.lists(st.one_of(st.just(0), st.integers(0, (1 << n) - 1)),
+                         min_size=size, max_size=size))
+    if len(rows) > 1 and draw(st.booleans()):
+        rows[draw(st.integers(1, len(rows) - 1))] = rows[draw(st.integers(0, len(rows) - 1))]
+    return n, rows
+
+
+@settings(max_examples=600, deadline=None)
+@given(kernel_cases())
+@example((1, []))
+@example((4, [0b0011, 0b0110, 0b0101]))  # the third row is the sum of the first two
+@example((4, [0b0011, 0b0110, 0b1100]))
+@example((4, [0b0011, 0, 0b1100]))
+@example((4, [0b0011, 0b0110, 0b1100, 0b1001]))  # n rows of rank n - 1
+def test_kernel_vector_is_the_one_nullspace_vector(case):
+    """`nullspace_ints`' one vector when the nullspace is one-dimensional,
+    else None; n - 1 rows are read up to the first dependent one."""
+    n, values = case
+    rows = CountedRows(values)
+    null = nullspace_ints(values, n)
+    assert kernel_vector(rows, n) == (null[0] if len(null) == 1 else None)
+    if len(values) == n - 1:
+        assert rows.read == first_dependent(values, n)
 
 
 def reference_solve_full_rank(rows, labels, n):
@@ -799,6 +852,31 @@ def test_solve_unique_matches_full_rank_reference(case):
     assert solve_unique(packed, n) == (s if consistent else None)
     x, null = solve_ints(packed, n)
     assert solve_unique(packed, n) == (x if not null else None)
+
+
+@pytest.mark.parametrize("variant", ["as drawn", "first row zero", "second row repeats the first "
+                                     "with the other label", "label-only row in the middle"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_square_solve_unique_stops_at_the_first_dependent_row(n, variant):
+    """n rows against `reference_solve_full_rank`, read only up to the first
+    row whose a-part depends on those before it."""
+    rng = np.random.default_rng(n)
+    while True:  # n rows of rank n, so that only the variant makes them singular
+        rows = rng.integers(0, 1 << n, size=n).tolist()
+        if len(reference_echelon(rows, n)) == n:
+            break
+    labels = rng.integers(0, 2, size=n).tolist()
+    if variant == "first row zero":
+        rows[0] = 0
+    elif variant.startswith("second row"):
+        rows[1], labels[1] = rows[0], labels[0] ^ 1
+    elif variant == "label-only row in the middle":
+        rows[n // 2], labels[n // 2] = 0, 1
+    packed = CountedRows(a | b << n for a, b in zip(rows, labels))
+    s = solve_unique(packed, n)
+    assert s == reference_solve_full_rank(rows, labels, n)
+    assert (s is None) == (variant != "as drawn")
+    assert packed.read == first_dependent(rows, n)
 
 
 # ---------------------------------------------------------------------------
@@ -1063,6 +1141,30 @@ def test_integers_below_draws_under_the_generator_lock():
     worker.join(10)
     assert not worker.is_alive()
     assert got == [np.random.default_rng(0).integers(0, 7, size=5).tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BIT_GENERATORS), st.integers(0, 2**32 - 1),
+       st.lists(st.one_of(st.just(None), st.tuples(st.sampled_from(EDGE_SIZES[1:6]),
+                                                   st.integers(0, 3))), max_size=12))
+@example(np.random.PCG64, 0, [(3, 1), None, None, (2**31 + 1, 3), None])
+def test_lpn_label_is_one_integers_call(bit_generator, seed, schedule):
+    """Each `lsn_sample_to_lpn` label is `integers(0, 2)`, value for value,
+    between `integers_below` draws of other sizes (None in the schedule is a
+    label, (size, k) a draw), so that PCG64 has half of a 64-bit word pending
+    after an odd number of 32-bit words; the end state and next draws match."""
+    rng, ref = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+    y, z = BitVec(5, 0b10110), BitVec(5, 0b00111)
+    for step in schedule:
+        if step is None:
+            a, b = lsn_sample_to_lpn(y, z, rng)
+            want = int(ref.integers(0, 2))
+            assert (a, b) == ((y ^ z, 1) if want else (y, 0))
+        else:
+            assert integers_below(rng, *step) == ref.integers(0, step[0], size=step[1]).tolist()
+    assert pickle.dumps(rng.bit_generator.state) == pickle.dumps(ref.bit_generator.state)
+    assert rng.integers(0, 2**32) == ref.integers(0, 2**32)
+    assert rng.integers(0, 1 << 62) == ref.integers(0, 1 << 62)
 
 
 def reference_pooled_gauss(pool, verifier, rng, max_loops):

@@ -178,10 +178,11 @@ def test_pool_rank_is_capped_and_computed_once(monkeypatch):
     assert SamplePool.from_ints(4, [3, 3, 5, 6]).capped_rank == 2
 
 
-def test_pooled_solvers_enter_the_traced_gf2_layers_as_before(monkeypatch):
-    # The benchmark's gf2.rank and gf2.nullspace spans wrap these names in
-    # every module: pooled_lsn takes one nullspace per loop, and
-    # pooled_gauss_lpn one capped rank per call and no nullspace.
+def test_pooled_solvers_make_one_gf2_call_per_loop_or_call(monkeypatch):
+    # The benchmark's gf2.rank and gf2.nullspace spans wrap rank_ints and
+    # nullspace_ints in every module: pooled_lsn calls neither, only one
+    # kernel_vector per loop, and pooled_gauss_lpn one capped rank per call
+    # and no nullspace or kernel.
     calls = []
 
     def counted(name, fn):
@@ -191,8 +192,9 @@ def test_pooled_solvers_enter_the_traced_gf2_layers_as_before(monkeypatch):
         return wrapper
 
     for mod in (solvers, gf2):
-        for name in ("rank_ints", "nullspace_ints"):
-            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        for name in ("rank_ints", "nullspace_ints", "kernel_vector"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
     f = SimonFunction.default(5)
     rng = np.random.default_rng(3)
     params = LsnParams(5, 0.1, f.s)
@@ -204,7 +206,8 @@ def test_pooled_solvers_enter_the_traced_gf2_layers_as_before(monkeypatch):
         s, cost = pooled_lsn(f, pool, rng)
         assert s == f.s
         loops += cost.loop_count
-    assert calls == ["nullspace_ints"] * loops
+    assert loops > 5
+    assert calls == ["kernel_vector"] * loops
     samples = [lsn_sample_to_lpn(BitVec(5, int(y)), f.s, rng) for y in sample_many(params, 64, rng)]
     verifier = majority_verifier(samples[40:], 0.1)
     calls.clear()
