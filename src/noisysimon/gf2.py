@@ -10,6 +10,7 @@ coordinate printed first).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -39,18 +40,25 @@ def parity(a: np.ndarray) -> np.ndarray:
     return np.bitwise_count(a) & 1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BitVec:
-    """Element of F_2^n packed into a Python int."""
+    """Element of F_2^n packed into a Python int (a numpy integer is stored as one)."""
 
     n: int
     value: int
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"negative length {self.n}")
-        if not 0 <= self.value < (1 << self.n):
-            raise ValueError(f"value {self.value} out of range for n={self.n}")
+    def __init__(self, n: int, value: int) -> None:
+        if type(n) is not int or type(value) is not int:
+            try:
+                n, value = operator.index(n), operator.index(value)
+            except TypeError:
+                raise TypeError(f"BitVec takes integers, not n={n!r}, value={value!r}") from None
+        if n < 0:
+            raise ValueError(f"negative length {n}")
+        if not 0 <= value < (1 << n):
+            raise ValueError(f"value {value} out of range for n={n}")
+        _set_n(self, n)  # the slots' own setters: frozen __setattr__ refuses
+        _set_value(self, value)
 
     @classmethod
     def from_string(cls, text: str) -> "BitVec":
@@ -103,35 +111,38 @@ class BitVec:
         return self.value.bit_count()
 
 
+_set_n, _set_value = BitVec.n.__set__, BitVec.value.__set__
+
+
 def _echelon(values: Sequence[int], stop: Optional[int] = None) -> List[int]:
     """Row echelon basis, one row per pivot (its lowest set bit), in the order
     found; with `stop`, that of the first rows of `values` that span `stop`
     dimensions. Each row's pivot is clear in every row found after it, so a
     new row is reduced in one pass and no earlier row changes."""
-    rows = {}  # pivot bit -> row
+    rows = []
     for v in values:
         if len(rows) == stop:
             break
-        for bit, row in rows.items():
-            if v & bit:
+        for row in rows:
+            if v & row & -row:  # v holds the row's pivot
                 v ^= row
         if v:
-            rows[v & -v] = v
-    return list(rows.values())
+            rows.append(v)
+    return rows
 
 
 def _independent(values: Sequence[int], reject: int = 0) -> Optional[List[int]]:
     """`_echelon(values)` of rows that must all be independent, or None at the
     first row that reduces to 0 or to `reject`."""
-    rows = {}
+    rows = []
     for v in values:
-        for bit, row in rows.items():
-            if v & bit:
+        for row in rows:
+            if v & row & -row:
                 v ^= row
         if v == 0 or v == reject:
             return None
-        rows[v & -v] = v
-    return list(rows.values())
+        rows.append(v)
+    return rows
 
 
 def rank_ints(values: Sequence[int], n: int, stop: Optional[int] = None) -> int:

@@ -80,11 +80,14 @@ def integers_below(rng: np.random.Generator, size: int, k: int) -> list:
         return rng.integers(0, size, size=k).tolist()
     bits = rng.bit_generator
     word, state = bits.ctypes.next_uint32, bits.ctypes.state
-    floor, out = (1 << 32) % size, []
-    with bits.lock:
+    floor, out, lock = (1 << 32) % size, [], bits.lock
+    lock.acquire()
+    try:
         while len(out) < k:
             if (m := word(state) * size) & 0xFFFFFFFF >= floor:
                 out.append(m >> 32)
+    finally:
+        lock.release()
     return out
 
 

@@ -30,6 +30,9 @@ class LpnSample(NamedTuple):
     b: int
 
 
+_new_tuple = tuple.__new__  # `LpnSample(a, b)` without the NamedTuple's keyword handling
+
+
 def lpn_samples_to_csv(samples: Sequence[LpnSample], path) -> None:
     """Write the table of `a,b` rows, a as an MSB-first bitstring."""
     write_table(path, {}, ("a", "b"), samples)
@@ -52,9 +55,12 @@ def lsn_sample_to_lpn(y: BitVec, z: BitVec, rng: np.random.Generator) -> LpnSamp
     if y.n != z.n:
         raise DimensionError(f"length mismatch: {y.n} vs {z.n}")
     bits = rng.bit_generator
-    with bits.lock:  # `lsn.integers_below(rng, 2, 1)`: at size 2 Lemire's floor 2^32 mod 2 is 0
+    (lock := bits.lock).acquire()
+    try:  # `lsn.integers_below(rng, 2, 1)`: at size 2 Lemire's floor 2^32 mod 2 is 0
         b = bits.ctypes.next_uint32(bits.ctypes.state) >> 31
-    return LpnSample(BitVec(y.n, y.value ^ z.value) if b else y, b)
+    finally:
+        lock.release()
+    return _new_tuple(LpnSample, (BitVec(y.n, y.value ^ z.value) if b else y, b))
 
 
 def lsn_samples_to_lpn(

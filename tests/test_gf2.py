@@ -127,5 +127,10 @@ def test_bitvec_is_slotted_and_frozen():
     assert v == BitVec(4, 6) and v != BitVec(5, 6) and v != bv("0111")
     assert hash(v) == hash(BitVec(4, 6)) == hash((4, 6))
     assert repr(v) == "BitVec('0110')" and repr(BitVec.zeros(0)) == "BitVec('')"
-    for twin in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v), copy.copy(v)):
+    for twin in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v), copy.copy(v),
+                 dataclasses.replace(v)):
         assert twin == v and type(twin) is BitVec and hash(twin) == hash(v)
+    assert [f.name for f in dataclasses.fields(v)] == ["n", "value"]
+    assert dataclasses.replace(v, value=9) == BitVec(4, 9)
+    with pytest.raises(ValueError, match="value 6 out of range for n=2"):
+        dataclasses.replace(v, n=2)

@@ -74,8 +74,8 @@ from noisysimon.circuits import (
     append_measurement_flips,
     build_simon_circuit,
 )
-from noisysimon.gf2 import (BitVec, DimensionError, _echelon, kernel_vector, nullspace_ints, parity,
-                            solve_ints, solve_unique)
+from noisysimon.gf2 import (BitVec, DimensionError, _echelon, _independent, kernel_vector,
+                            nullspace_ints, parity, solve_ints, solve_unique)
 from noisysimon.lsn import integers_below
 from noisysimon.noise import NoiseParams, _sample_chunk, _split_field
 from noisysimon.reductions import LpnSample, SolveFailure, lsn_sample_to_lpn
@@ -674,6 +674,63 @@ def test_echelon_and_nullspace_match_references(case):
     }
 
 
+def dict_echelon(values, stop=None):
+    """`_echelon` with its rows keyed by pivot bit in a dict, so that a row's
+    pivot is tested as the key."""
+    rows = {}  # pivot bit -> row
+    for v in values:
+        if len(rows) == stop:
+            break
+        for bit, row in rows.items():
+            if v & bit:
+                v ^= row
+        if v:
+            rows[v & -v] = v
+    return list(rows.values())
+
+
+def dict_independent(values, reject=0):
+    """`_independent` with its rows keyed by pivot bit in a dict."""
+    rows = {}
+    for v in values:
+        for bit, row in rows.items():
+            if v & bit:
+                v ^= row
+        if v == 0 or v == reject:
+            return None
+        rows[v & -v] = v
+    return list(rows.values())
+
+
+@st.composite
+def elimination_cases(draw):
+    """n = 1..12 and 0 to n + 2 rows with zeros and repeats, a stop of 0 to
+    n + 1 rows or none, and a reject value: 0, the top bit (the label-only
+    row of `solve_unique`), one of the rows or any n-bit value."""
+    n = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.one_of(st.just(0), st.integers(0, (1 << n) - 1)), max_size=n + 2))
+    if len(rows) > 1 and draw(st.booleans()):
+        rows[draw(st.integers(1, len(rows) - 1))] = rows[draw(st.integers(0, len(rows) - 1))]
+    stop = draw(st.one_of(st.none(), st.integers(0, n + 1)))
+    reject = draw(st.one_of(st.just(0), st.just(1 << (n - 1)), st.integers(0, (1 << n) - 1),
+                            *([st.sampled_from(rows)] if rows else [])))
+    return rows, stop, reject
+
+
+@settings(max_examples=600, deadline=None)
+@given(elimination_cases())
+@example(([0b011, 0b110, 0b101], None, 0))  # the third row is the sum of the first two
+@example(([0b011, 0b110, 0b100], 2, 0b101))  # the third row reduces to the reject value
+def test_list_held_elimination_matches_dict_keyed(case):
+    """The same rows in the same order, or the same None, with and without
+    `stop` and `reject`."""
+    values, stop, reject = case
+    assert _echelon(values) == dict_echelon(values)
+    assert _echelon(values, stop) == dict_echelon(values, stop)
+    assert _independent(values) == dict_independent(values)
+    assert _independent(values, reject) == dict_independent(values, reject)
+
+
 def parity_int(v):
     return bin(v).count("1") % 2
 
@@ -1141,6 +1198,24 @@ def test_integers_below_draws_under_the_generator_lock():
     worker.join(10)
     assert not worker.is_alive()
     assert got == [np.random.default_rng(0).integers(0, 7, size=5).tolist()]
+
+
+def test_lpn_label_draws_under_the_generator_lock():
+    """While another thread holds the generator's lock, a label draw waits for
+    it, and the draw releases the lock when done."""
+    rng, got = np.random.default_rng(0), []
+    y, z = BitVec(5, 0b10110), BitVec(5, 0b00111)
+    worker = threading.Thread(target=lambda: got.append(lsn_sample_to_lpn(y, z, rng)))
+    with rng.bit_generator.lock:
+        worker.start()
+        worker.join(0.1)
+        assert worker.is_alive() and not got
+    worker.join(10)
+    assert not worker.is_alive()
+    want = int(np.random.default_rng(0).integers(0, 2))
+    assert got == [(y ^ z, 1) if want else (y, 0)] and type(got[0]) is LpnSample
+    assert rng.bit_generator.lock.acquire(blocking=False)
+    rng.bit_generator.lock.release()
 
 
 @settings(max_examples=300, deadline=None)

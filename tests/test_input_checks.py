@@ -28,6 +28,9 @@ bare = Circuit(2, (), (0, 1))
 @pytest.mark.parametrize("make, error, message", [
     (lambda: BitVec(-1, 0), ValueError, "negative length -1"),
     (lambda: BitVec(2, 4), ValueError, "value 4 out of range for n=2"),
+    (lambda: BitVec(3, 3.0), TypeError, r"BitVec takes integers, not n=3, value=3\.0"),
+    (lambda: BitVec(3.0, 3), TypeError, r"BitVec takes integers, not n=3\.0, value=3"),
+    (lambda: BitVec(3, "5"), TypeError, "BitVec takes integers, not n=3, value='5'"),
     (lambda: BitVec.from_string("012"), ValueError, "not a bitstring: '012'"),
     (lambda: BitVec(2, 1)[2], IndexError, "coordinate 2 out of range for n=2"),
     (lambda: SimonFunction(3, BitVec(2, 1), 0), DimensionError, "period length 2 != n=3"),
@@ -101,3 +104,8 @@ def test_bad_input_raises_its_own_error(make, error, message):
         make()
     assert "\n" not in str(info.value)
 
+
+def test_bitvec_stores_numpy_integers_as_int():
+    v = BitVec(np.int64(3), np.uint8(5))
+    assert type(v.n) is int and type(v.value) is int
+    assert v == BitVec(3, 5) and hash(v) == hash((3, 5)) and str(v) == "101"
