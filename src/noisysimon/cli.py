@@ -413,13 +413,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Run one command; bad input ends in a one-line error and exit status 2,
-    a solver that gives up (`SolveFailure`) in one with exit status 1."""
+    """Run one command; bad input or a `MemoryError` ends in a one-line error
+    and exit status 2, a solver that gives up (`SolveFailure`) in one with exit status 1."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, SolveFailure) as exc:
-        print(f"noisysimon: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError, SolveFailure) as exc:
+        print(f"noisysimon: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1 if isinstance(exc, SolveFailure) else 2
 
 

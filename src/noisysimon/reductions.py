@@ -16,7 +16,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .gf2 import BitVec, DimensionError, check_dense, parity
-from .lsn import LsnParams, model_distribution, sample_many
+from .lsn import LsnParams, integers_below, model_distribution, sample_many
 from .multiset import read_table, write_table
 from .stats import chi_square_gof
 
@@ -28,9 +28,6 @@ class SolveFailure(RuntimeError):
 class LpnSample(NamedTuple):
     a: BitVec
     b: int
-
-
-_new_tuple = tuple.__new__  # `LpnSample(a, b)` without the NamedTuple's keyword handling
 
 
 def lpn_samples_to_csv(samples: Sequence[LpnSample], path) -> None:
@@ -50,17 +47,12 @@ def lpn_samples_from_csv(path) -> List[LpnSample]:
 
 
 def lsn_sample_to_lpn(y: BitVec, z: BitVec, rng: np.random.Generator) -> LpnSample:
-    """(y + b z, b) for a fresh uniform bit b, `rng.integers(0, 2)` value for
-    value and leaving rng in the same state: the top bit of one 32-bit word."""
+    """(y + b z, b) for a fresh uniform bit b, drawn by `integers_below`, so
+    `rng.integers(0, 2)` value for value and leaving rng in the same state."""
     if y.n != z.n:
         raise DimensionError(f"length mismatch: {y.n} vs {z.n}")
-    bits = rng.bit_generator
-    (lock := bits.lock).acquire()
-    try:  # `lsn.integers_below(rng, 2, 1)`: at size 2 Lemire's floor 2^32 mod 2 is 0
-        b = bits.ctypes.next_uint32(bits.ctypes.state) >> 31
-    finally:
-        lock.release()
-    return _new_tuple(LpnSample, (BitVec(y.n, y.value ^ z.value) if b else y, b))
+    b = integers_below(rng, 2, 1)[0]
+    return LpnSample(BitVec(y.n, y.value ^ z.value) if b else y, b)
 
 
 def lsn_samples_to_lpn(

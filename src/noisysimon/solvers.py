@@ -9,7 +9,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
@@ -161,53 +160,41 @@ def classical_period(
 # Pooled solvers
 
 
+# A draw takes size^k / perm(size, k) tries on average; above this many,
+# `_draws` refuses the pool. Draws without replacement will make it unneeded.
+MAX_DRAW_TRIES = 1 << 16
+
+
 def _draws(rng: np.random.Generator, size: int, k: int, rank: int, max_loops: int,
            what: str) -> Iterator[Tuple[int, Sequence[int]]]:
     """The pooled solvers' draws: (loop, k distinct indices below size) up to
     max_loops times, then SolveFailure naming `what`. A pool of rank below k
     fails before any draw; one with a single such set (size = k or k = 0)
-    gives it once, without the generator; one of fewer than max_loops sets
-    fails once each has been drawn, so a draw's outcome must be a function of
-    its set. Each set is the next `rng.integers(0, size, size=k)` without a
-    repeat, but calls draw 1, 1, 1, 1, 8, 16, 32, ... such draws. A bounded
-    draw takes one 32-bit word per value (Lemire's method), the four single
-    draws read theirs through `integers_below`, and the only buffer between
-    words (PCG64's pending half of a 64-bit word, `has_uint32`/`uinteger`)
-    is part of `bit_generator.state`; so stopped mid-block, it restores the
-    state and redraws the values used, leaving it as one call per draw
-    would. Close it however the solve stops; draw nothing from rng meanwhile."""
+    gives it once, without the generator; one whose draw takes more than
+    MAX_DRAW_TRIES tries on average fails before any draw; one of fewer than
+    max_loops sets fails once each has been drawn, so a draw's outcome must
+    be a function of its set. Each try is one `integers_below(rng, size, k)`
+    call, redrawn while it holds a repeat: no blocks and nothing held between
+    tries, so there is nothing to rewind however the solve stops."""
     if rank < k:
         raise SolveFailure(f"the pool has rank {rank} < {k}: no draw of {k} has full rank")
     total = math.comb(size, k)
     if total == 1 and max_loops > 0:
         yield 1, range(k)
         raise SolveFailure(f"a pool of {size} allows one draw of {k}: no verified {what}")
+    if (tries := size ** k / math.perm(size, k)) > MAX_DRAW_TRIES:
+        raise SolveFailure(f"a draw of {k} distinct samples from a pool of {size} takes {tries:.3g} "
+                           f"tries on average, above {MAX_DRAW_TRIES}: no verified {what}")
     drawn = set() if total < max_loops else None
-    loop = calls = 0
-    while loop < max_loops:
-        block = 1 << (calls - 1) if calls > 3 else 1
-        calls += 1
-        if block == 1:
-            vals = integers_below(rng, size, k)
-        else:
-            state = rng.bit_generator.state
-            vals = rng.integers(0, size, size=block * k).tolist()
-        try:
-            for used in range(k, len(vals) + 1, k):
-                if len(set(idx := vals[used - k:used])) == k:
-                    loop += 1
-                    yield loop, idx
-                    if drawn is not None:
-                        drawn.add(frozenset(idx))
-                        if len(drawn) == total:
-                            raise SolveFailure(f"a pool of {size} allows {total} draws of {k}, "
-                                               f"all drawn within {loop} loops: no verified {what}")
-                    if loop == max_loops:
-                        break
-        finally:
-            if used < len(vals):
-                rng.bit_generator.state = state
-                rng.integers(0, size, size=used)
+    for loop in range(1, max_loops + 1):
+        while len(set(idx := integers_below(rng, size, k))) < k:
+            pass
+        yield loop, idx
+        if drawn is not None:
+            drawn.add(frozenset(idx))
+            if len(drawn) == total:
+                raise SolveFailure(f"a pool of {size} allows {total} draws of {k}, "
+                                   f"all drawn within {loop} loops: no verified {what}")
     raise SolveFailure(f"no verified {what} within {max_loops} loops")
 
 
@@ -217,8 +204,7 @@ def pooled_lsn(
     rng: np.random.Generator,
     max_loops: int = 1_000_000,
 ) -> Tuple[BitVec, CostReport]:
-    """Repeatedly draw n-1 distinct pool samples (`_draws`, which leaves rng
-    as one `integers` call per draw would); on a linearly independent,
+    """Repeatedly draw n-1 distinct pool samples (`_draws`); on a linearly independent,
     error-free draw the one nonzero kernel vector is the period, which the
     function oracle confirms. Every completed draw counts as one loop.
     `gf2.kernel_vector` is both the rank test and the solve: it ends at the
@@ -230,13 +216,12 @@ def pooled_lsn(
     if len(vals) < n - 1:
         raise ValueError(f"pool of {len(vals)} cannot contain {n - 1} independent samples")
     queries = 0
-    with closing(_draws(rng, len(vals), n - 1, pool.capped_rank, max_loops, "period")) as draws:
-        for loops, idx in draws:
-            x = kernel_vector([vals[i] for i in idx], n)
-            if x is not None:
-                queries += 1
-                if f.verify_period(period := BitVec(n, x)):
-                    return period, CostReport(loops, queries)
+    for loops, idx in _draws(rng, len(vals), n - 1, pool.capped_rank, max_loops, "period"):
+        x = kernel_vector([vals[i] for i in idx], n)
+        if x is not None:
+            queries += 1
+            if f.verify_period(period := BitVec(n, x)):
+                return period, CostReport(loops, queries)
 
 
 def pooled_gauss_lpn(
@@ -249,26 +234,25 @@ def pooled_gauss_lpn(
     rank), solve the system if it has full rank, and return the first nonzero
     candidate the verifier, a function of the candidate, accepts. A drawn a
     that is not n bits is a DimensionError, a label not 0 or 1 a ValueError;
-    however it stops, rng is left as one `integers` call per draw would leave it."""
+    however it stops, rng is left as one `integers` call per try would leave it."""
     if not pool:
         raise ValueError("empty pool")
     n = pool[0].a.n
     if len(pool) < n:
         raise ValueError(f"pool of {len(pool)} cannot determine {n} unknowns")
     rank = rank_ints((smp.a.value for smp in pool), n, stop=n)
-    with closing(_draws(rng, len(pool), n, rank, max_loops, "secret")) as draws:
-        for loops, idx in draws:
-            rows = []
-            for i in idx:
-                a, b = pool[i]
-                if a.n != n:
-                    raise DimensionError(f"pool sample {i} has length {a.n}, not n={n}")
-                if b not in (0, 1):
-                    raise ValueError(f"pool sample {i} has label {b!r}, not 0 or 1")
-                rows.append(a.value | b << n)
-            s = solve_unique(rows, n)
-            if s and verifier(secret := BitVec(n, s)):
-                return secret, CostReport(loops, loops)
+    for loops, idx in _draws(rng, len(pool), n, rank, max_loops, "secret"):
+        rows = []
+        for i in idx:
+            a, b = pool[i]
+            if a.n != n:
+                raise DimensionError(f"pool sample {i} has length {a.n}, not n={n}")
+            if b not in (0, 1):
+                raise ValueError(f"pool sample {i} has label {b!r}, not 0 or 1")
+            rows.append(a.value | b << n)
+        s = solve_unique(rows, n)
+        if s and verifier(secret := BitVec(n, s)):
+            return secret, CostReport(loops, loops)
 
 
 def heldout_size(n: int, tau: float) -> int:

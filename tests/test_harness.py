@@ -427,6 +427,41 @@ def test_exhausted_small_pool_ends_in_status_1(tmp_path, capsys, argv, pool, loo
     assert not list(tmp_path.iterdir())
 
 
+def test_pool_too_small_for_distinct_draws_ends_at_once(tmp_path, capsys):
+    """A draw of 19 distinct samples from a pool of 20 takes about 2.2e6
+    tries; at --seed 2 the pool has full rank, so the solve is refused
+    before any draw instead of running for hours."""
+    argv = ["--out-dir", str(tmp_path), "--seed", "2", "solve", "--algorithm", "pooled-lsn",
+            "--n", "20", "--pool-size", "20"]
+    status = []
+    worker = threading.Thread(target=lambda: status.append(main(argv)), daemon=True)
+    worker.start()
+    worker.join(1.0)
+    assert status == [1]
+    err = capsys.readouterr().err
+    assert err == ("noisysimon: error: a draw of 19 distinct samples from a pool of 20 takes "
+                   "2.15e+06 tries on average, above 65536: no verified period\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 64.0 GiB for an array with shape (8589934592,)"),
+     "Unable to allocate 64.0 GiB for an array with shape (8589934592,)"),
+    (MemoryError(), "MemoryError"),
+])
+def test_out_of_memory_is_a_one_line_error(tmp_path, capsys, monkeypatch, exc, message):
+    """A MemoryError, here raised by the sampler in place of numpy's failed
+    allocation of 2^33 shots, ends in a one-line error and exit status 2."""
+    def no_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "sample_noisy", no_memory)
+    assert main(["--out-dir", str(tmp_path), "measure", "--n", "2",
+                 "--shots", "8589934592"]) == 2
+    assert capsys.readouterr().err == f"noisysimon: error: {message}\n"
+    assert not (tmp_path / "measure_n2.csv").exists()
+
+
 def test_sparse_multiset_is_a_one_line_error(tmp_path, capsys):
     """At n=7 16 shots cannot cover the 128 outcomes the model supports."""
     assert main(["--out-dir", str(tmp_path), "smooth", "--n", "7", "--shots", "16"]) == 2

@@ -34,10 +34,10 @@ one score update per new distance; the library's batched updates must give
 the same ledgers, period and cost. `classical_period_reference` restates it
 as a full rescan per round (compared in `test_solvers.py`).
 `reference_draws` draws each index set of the pooled solvers with its own
-`integers` call; `_draws`, rewound when a solve stops mid-block, must give
-the same sets and failures and leave the generator in the same state,
-whether the solve succeeds, reaches `max_loops`, exhausts its pool, or its
-verifier or a drawn sample raises. `reference_majority_verifier` takes the
+`integers` call; `_draws`, which reads each try through `integers_below`,
+must give the same sets and failures and leave the generator in the same
+state, whether the solve succeeds, reaches `max_loops`, exhausts its pool,
+or its verifier or a drawn sample raises. `reference_majority_verifier` takes the
 held-out mismatch rate as a numpy mean; the bitsliced verifier must make the
 same decision for every candidate, also at a mismatch count exactly at the
 threshold. `integers_below`, which reads 32-bit words straight from the bit
@@ -1090,7 +1090,8 @@ def reference_draw_distinct(rng: np.random.Generator, pool_size: int, k: int) ->
             return idx
 
 
-# The single draws end after 4 draws and the blocks after 12, 28 and 60.
+# Loop counts to stop or end the draws at: the edges of the blocks of 1, 1, 1,
+# 1, 8, 16 and 32 draws that `_draws` once took from numpy, kept as inputs.
 BLOCK_EDGES = (1, 4, 5, 12, 13, 28, 29, 60, 61)
 
 class Stop(Exception):
@@ -1155,8 +1156,9 @@ def test_draws_match_one_call_per_draw(k, extra, max_loops, stop, seed):
 @pytest.mark.parametrize("max_loops", BLOCK_EDGES + (65, 1000))
 @pytest.mark.parametrize("size, k", [(16384, 6), (8, 7)])
 def test_draws_match_at_every_stop_past_the_third_block(size, k, max_loops):
-    """Every stop from 1 to 65 loops, at each block edge of max_loops; from
-    max_loops 12 on, some runs draw all 8 sets of 7 of the pool of 8."""
+    """Every stop from 1 to 65 loops, at each of BLOCK_EDGES and more as
+    max_loops; from max_loops 12 on, some runs draw all 8 sets of 7 of the
+    pool of 8."""
     ends = [assert_draws_match_one_call_per_draw(stop, size, k, max_loops, stop)[-1]
             for stop in range(1, 66)]
     exhausted = any("allows 8 draws of 7" in str(end) for end in ends)
@@ -1286,8 +1288,8 @@ def small_gauss_pools(draw):
        st.integers(0, 2**32 - 1))
 def test_pooled_gauss_stops_leave_the_generator_as_one_call_per_draw(
         pool, max_loops, accept_at, raise_at, seed):
-    """Success, max_loops and a verifier that raises mid-block each leave the
-    same result, candidates and generator state as one call per draw."""
+    """Success, max_loops and a verifier that raises at any loop each leave
+    the same result, candidates and generator state as one call per draw."""
     args = (pool, seed, max_loops, accept_at, raise_at)
     assert gauss_outcome(pooled_gauss_lpn, *args) == gauss_outcome(reference_pooled_gauss, *args)
 
@@ -1298,9 +1300,9 @@ def test_pooled_gauss_stops_leave_the_generator_as_one_call_per_draw(
 ])
 @pytest.mark.parametrize("loop", [5, 6, 12, 13, 20, 28, 29, 45, 61])
 def test_pooled_gauss_malformed_sample_drawn_mid_block_leaves_one_call_per_draw(loop, bad):
-    """A malformed sample first drawn at loop 5 or later, so from a block of
-    8 or more draws, raises its error and leaves the generator as one call
-    per draw would."""
+    """A malformed sample first drawn at loop 5 to 61, well past the first
+    draws, raises its error and leaves the generator as one call per draw
+    would."""
     sample, error, message = bad
     size, seed = 512, loop
     ref = np.random.default_rng(seed)

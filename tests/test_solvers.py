@@ -239,6 +239,20 @@ def test_exact_size_pools_take_their_one_draw_without_the_generator():
     assert rng.bit_generator.state == state
 
 
+def test_draws_refuse_a_pool_too_small_for_distinct_draws():
+    # A draw of 16 distinct indices below 17 takes 17^16 / 17!, about 1.4e5
+    # tries, on average: refused before any draw. One of 15 below 16 takes
+    # about 5.5e4, within MAX_DRAW_TRIES = 2^16, and is drawn.
+    rng = np.random.default_rng(2)
+    state = rng.bit_generator.state
+    with pytest.raises(SolveFailure, match=r"^a draw of 16 distinct samples from a pool of 17 "
+                                           r"takes 1\.37e\+05 tries on average, above 65536"):
+        next(solvers._draws(rng, 17, 16, 16, 1000, "period"))
+    assert rng.bit_generator.state == state
+    loop, idx = next(solvers._draws(rng, 16, 15, 15, 1000, "period"))
+    assert loop == 1 and len(set(idx)) == 15 and 0 <= min(idx) and max(idx) < 16
+
+
 def test_pooled_lsn_rejects_pool_of_other_dimension():
     pool = SamplePool.from_ints(3, range(8))
     rng = np.random.default_rng(8)
