@@ -11,7 +11,7 @@ optimal classical searcher and pooled linear-algebra solvers.
 __version__ = "0.1.0"
 
 from .gf2 import BitVec, CapacityError, DimensionError, orthogonal_basis
-from .simon import SimonFunction, is_simon_function
+from .simon import SimonFunction
 from .circuits import Circuit, Gate, build_simon_circuit, append_measurement_flips
 from .statevector import circuits_equivalent, exact_output_distribution
 from .noise import NoiseParams, default_noise, sample_noisy, sample_noisy_batch

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,14 +67,6 @@ class BitVec:
             raise ValueError(f"not a bitstring: {text!r}")
         return cls(len(text), int(text, 2) if text else 0)
 
-    @classmethod
-    def zeros(cls, n: int) -> "BitVec":
-        return cls(n, 0)
-
-    @classmethod
-    def ones(cls, n: int) -> "BitVec":
-        return cls(n, (1 << n) - 1)
-
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self.n:
             raise IndexError(f"coordinate {i} out of range for n={self.n}")
@@ -87,17 +79,11 @@ class BitVec:
 
     __add__ = __xor__
 
-    def __iter__(self) -> Iterator[int]:
-        return ((self.value >> i) & 1 for i in range(self.n))
-
     def __str__(self) -> str:
         return format(self.value, f"0{self.n}b") if self.n else ""
 
     def __repr__(self) -> str:
         return f"BitVec({str(self)!r})"
-
-    def __int__(self) -> int:
-        return self.value
 
     def __bool__(self) -> bool:
         return self.value != 0
@@ -106,9 +92,6 @@ class BitVec:
         if self.n != other.n:
             raise DimensionError(f"length mismatch: {self.n} vs {other.n}")
         return (self.value & other.value).bit_count() & 1
-
-    def weight(self) -> int:
-        return self.value.bit_count()
 
 
 _set_n, _set_value = BitVec.n.__set__, BitVec.value.__set__
@@ -145,7 +128,7 @@ def _independent(values: Sequence[int], reject: int = 0) -> Optional[List[int]]:
     return rows
 
 
-def rank_ints(values: Sequence[int], n: int, stop: Optional[int] = None) -> int:
+def rank_ints(values: Sequence[int], stop: Optional[int] = None) -> int:
     """The rank of the rows, or `stop` if it is at least that: the
     elimination ends once `stop` independent rows are found."""
     return len(_echelon(values, stop))

@@ -82,9 +82,6 @@ class MeasurementMultiset:
     def from_outcomes(cls, n: int, outcomes: np.ndarray | Sequence[int]) -> "MeasurementMultiset":
         return cls(n, count_outcomes(np.asarray(outcomes)))
 
-    def count(self, outcome: int | BitVec) -> int:
-        return self.counts.get(int(outcome), 0)
-
     def merge(self, other: "MeasurementMultiset") -> "MeasurementMultiset":
         if other.n != self.n:
             raise ValueError(f"outcome length mismatch: {self.n} vs {other.n}")

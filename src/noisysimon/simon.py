@@ -1,9 +1,8 @@
-"""The concrete periodic function family x -> x + x_i * s and its validators."""
+"""The concrete periodic function family x -> x + x_i * s."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
 
 from .gf2 import BitVec, DimensionError
 
@@ -49,50 +48,8 @@ class SimonFunction:
             return x ^ self.s.value
         return x
 
-    def eval(self, x: BitVec) -> BitVec:
-        if x.n != self.n:
-            raise DimensionError(f"input length {x.n} != n={self.n}")
-        return BitVec(self.n, self.eval_int(x.value))
-
     def verify_period(self, candidate: BitVec) -> bool:
         """True iff f(candidate) = f(0), i.e. candidate is 0 or the period."""
         if candidate.n != self.n:
             raise DimensionError(f"candidate length {candidate.n} != n={self.n}")
         return self.eval_int(candidate.value) == self.eval_int(0)
-
-    def classical_leak(self) -> BitVec:
-        """f(1^n) + 1^n, which equals s because the all-ones input has bit i set."""
-        ones = (1 << self.n) - 1
-        return BitVec(self.n, self.eval_int(ones) ^ ones)
-
-    def table(self) -> Tuple[int, ...]:
-        """Full value table over all 2^n inputs (for validators; n <= 16)."""
-        return tuple(self.eval_int(x) for x in range(1 << self.n))
-
-
-def is_simon_function(table: Sequence[int] | Mapping[int, int]) -> Tuple[bool, Optional[BitVec]]:
-    """Decide whether a full value table is (2:1)-periodic with a unique s != 0.
-
-    Accepts a sequence indexed by x or a mapping x -> f(x) covering all 2^n
-    inputs. Returns (False, None) for anything that is not a Simon table.
-    """
-    size = len(table)
-    get = table.__getitem__
-    n = size.bit_length() - 1
-    if size != (1 << n) or n < 1:
-        return False, None
-    preimages: dict[int, list[int]] = {}
-    for x in range(size):
-        preimages.setdefault(get(x), []).append(x)
-    s = None
-    for xs in preimages.values():
-        if len(xs) != 2:
-            return False, None
-        d = xs[0] ^ xs[1]
-        if s is None:
-            s = d
-        elif s != d:
-            return False, None
-    if s is None or s == 0:
-        return False, None
-    return True, BitVec(n, s)

@@ -74,7 +74,7 @@ class SamplePool:
     @functools.cached_property
     def capped_rank(self) -> int:
         """min(rank, n - 1) of the samples, computed on first use."""
-        return rank_ints(self.values, self.n, stop=self.n - 1)
+        return rank_ints(self.values, stop=self.n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +240,7 @@ def pooled_gauss_lpn(
     n = pool[0].a.n
     if len(pool) < n:
         raise ValueError(f"pool of {len(pool)} cannot determine {n} unknowns")
-    rank = rank_ints((smp.a.value for smp in pool), n, stop=n)
+    rank = rank_ints((smp.a.value for smp in pool), stop=n)
     for loops, idx in _draws(rng, len(pool), n, rank, max_loops, "secret"):
         rows = []
         for i in idx:

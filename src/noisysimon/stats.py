@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,8 +108,3 @@ def chi_square_gof(counts: np.ndarray, expected_probs: np.ndarray) -> tuple[floa
     stat = float(np.sum((counts - expected) ** 2 / expected))
     df = counts.size - 1
     return stat, float(chdtrc(df, stat))
-
-
-def kl_sampling_floor(n_outcomes: int, shots: int) -> float:
-    """Expected KL of a perfect sampler, (K-1)/(2 N ln 2); useful as a bound."""
-    return (n_outcomes - 1) / (2.0 * shots * math.log(2.0))

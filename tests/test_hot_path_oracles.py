@@ -61,7 +61,6 @@ import math
 import pickle
 import sys
 import threading
-from contextlib import closing
 from typing import Callable, List, Optional, Tuple
 
 from noisysimon import noise as noise_module
@@ -1117,14 +1116,13 @@ def draw_outcome(draws, stop):
     """The (loop, index set) pairs a draw generator gives until its caller
     stops at loop `stop`, then the failure text if it ended first."""
     got = []
-    with closing(draws):
-        try:
-            for loop, idx in draws:
-                got.append((loop, list(idx)))
-                if loop == stop:
-                    break
-        except SolveFailure as exc:
-            got.append(str(exc))
+    try:
+        for loop, idx in draws:
+            got.append((loop, list(idx)))
+            if loop == stop:
+                break
+    except SolveFailure as exc:
+        got.append(str(exc))
     return got
 
 

@@ -7,7 +7,7 @@ import pytest
 from noisysimon.circuits import Circuit
 from noisysimon.gf2 import BitVec, CapacityError, DimensionError
 from noisysimon.lsn import LsnParams, estimate_tau, model_distribution
-from noisysimon.multiset import MeasurementMultiset
+from noisysimon.multiset import EmptyMultisetError, MeasurementMultiset, merge_all
 from noisysimon.noise import NoiseParams
 from noisysimon.reductions import (LpnSample, chi_square_check, lpn_model_distribution,
                                    lpn_sample_to_lsn, lsn_sample_to_lpn)
@@ -57,6 +57,8 @@ bare = Circuit(2, (), (0, 1))
      "length mismatch: 3 vs 2"),
     (lambda: lpn_sample_to_lsn(lpn, BitVec(2, 1)), DimensionError, "length mismatch: 3 vs 2"),
     (lambda: pooled_gauss_lpn([], lambda s: True, rng), ValueError, "empty pool"),
+    (lambda: SamplePool.from_vectors([]), ValueError, "^empty pool$"),
+    (lambda: merge_all([]), EmptyMultisetError, "nothing to merge"),
     (lambda: pooled_gauss_lpn([lpn, lpn], lambda s: True, rng), ValueError,
      "pool of 2 cannot determine 3 unknowns"),
     (lambda: pooled_gauss_lpn([LpnSample(BitVec(3, v), 2) for v in (1, 2, 4, 7)],

@@ -21,7 +21,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         LsnParams(3, -0.1, s)
     with pytest.raises(ValueError):
-        LsnParams(3, 0.1, BitVec.zeros(3))
+        LsnParams(3, 0.1, BitVec(3, 0))
 
 
 def test_model_distribution_two_levels():
@@ -100,7 +100,7 @@ def test_hamming_shift_preserves_tau_for_even_weight_period():
     params = LsnParams(6, 0.14, BitVec.from_string("000011"))
     rng = np.random.default_rng(6)
     m = MeasurementMultiset.from_outcomes(params.n, sample_many(params, 20_000, rng))
-    ones = BitVec.ones(6)
+    ones = BitVec(6, (1 << 6) - 1)
     assert ones.inner(params.s) == 0
     smoothed = hamming_smooth(m, ones)
     assert estimate_tau(smoothed, params.s) == estimate_tau(m, params.s)

@@ -317,7 +317,7 @@ def test_reverse_wrapper_with_pooled_solver():
 
 def test_zero_period_rejected_by_params():
     with pytest.raises(ValueError):
-        LsnParams(4, 0.1, BitVec.zeros(4))
+        LsnParams(4, 0.1, BitVec(4, 0))
 
 
 def test_lpn_sample_csv_round_trip(tmp_path):

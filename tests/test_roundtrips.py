@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from noisysimon.circuits import Circuit
 from noisysimon.gf2 import BitVec
-from noisysimon.multiset import MeasurementMultiset
+from noisysimon.multiset import EmptyMultisetError, MeasurementMultiset
 from noisysimon.reductions import LpnSample, lpn_samples_from_csv, lpn_samples_to_csv
 from noisysimon.transpile import Configuration
 from test_hot_path_oracles import circuits
@@ -85,6 +85,9 @@ def test_multiset_csv_single_outcome_and_header_with_line_break(tmp_path):
             m.to_csv(path, header=header)
     with pytest.raises(ValueError, match="empty multiset"):  # its CSV would carry no n
         MeasurementMultiset(3, {}).to_csv(path)
+    path.write_text("# seed=1\noutcome,count\n")  # the column line and no rows
+    with pytest.raises(EmptyMultisetError, match=f"no outcomes in {re.escape(str(path))}$"):
+        MeasurementMultiset.from_csv(path)
 
 
 label = st.one_of(st.text(max_size=6), st.integers(-5, 40))

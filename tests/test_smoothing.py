@@ -33,14 +33,14 @@ def test_some_candidate_is_orthogonal_for_every_period():
             s = BitVec(n, sv)
             assert any(v.inner(s) == 0 for v in hamming_vector_candidates(n))
             v = choose_hamming_vector(s)
-            assert v.inner(s) == 0 and v.weight() >= n - 1
+            assert v.inner(s) == 0 and v.value.bit_count() >= n - 1
 
 
 def test_hamming_smooth_examples():
     m = MeasurementMultiset(2, {0b00: 5, 0b10: 3})
     out = hamming_smooth(m, BitVec.from_string("11"))
     assert out.counts == {0b00: 5, 0b10: 3, 0b11: 5, 0b01: 3}
-    doubled = hamming_smooth(m, BitVec.zeros(2))
+    doubled = hamming_smooth(m, BitVec(2, 0))
     assert doubled.counts == {0b00: 10, 0b10: 6}
     assert out.total == 2 * m.total
 

@@ -165,9 +165,9 @@ def test_pooled_gauss_failure_signal_on_hopeless_pool():
 def test_pool_rank_is_capped_and_computed_once(monkeypatch):
     calls, rank_ints = [], solvers.rank_ints
 
-    def counted(values, n, stop=None):
+    def counted(values, stop=None):
         calls.append(stop)
-        return rank_ints(values, n, stop)
+        return rank_ints(values, stop)
 
     monkeypatch.setattr(solvers, "rank_ints", counted)
     pool = SamplePool.from_ints(4, [1, 2, 4, 8, 3])

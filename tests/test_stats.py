@@ -11,7 +11,6 @@ from noisysimon.stats import (
     chi_square_gof,
     empirical_distribution,
     kl_divergence,
-    kl_sampling_floor,
     kolmogorov_distance,
     quality_report,
 )
@@ -59,6 +58,12 @@ def test_empirical_distribution_examples():
     assert point[0b10] == 1.0 and point.sum() == 1.0
     with pytest.raises(EmptyMultisetError):
         empirical_distribution(MeasurementMultiset(2, {}))
+
+
+def test_outcomes_array_examples():
+    assert MeasurementMultiset(2, {0b11: 2, 0b01: 1}).outcomes_array().tolist() == [1, 3, 3]
+    empty = MeasurementMultiset(3, {}).outcomes_array()
+    assert empty.dtype == np.int64 and empty.shape == (0,)
 
 
 def test_quality_report_on_exact_scaled_model():
@@ -161,5 +166,17 @@ def test_chi_square_p_value_equals_scipy_stats():
     assert checked >= 4  # the far tail is on the grid too
 
 
+def kl_sampling_floor(n_outcomes, shots):
+    """Expected KL of a perfect sampler, (K-1)/(2 N ln 2); useful as a bound."""
+    return (n_outcomes - 1) / (2.0 * shots * math.log(2.0))
+
+
 def test_kl_sampling_floor_formula():
     assert abs(kl_sampling_floor(32, 8192) - 31 / (2 * 8192 * math.log(2))) < 1e-15
+    # and it is what the KL of exact model draws averages to
+    params = LsnParams(5, 0.1, BitVec(5, 0b11))
+    model, rng = model_distribution(params), np.random.default_rng(11)
+    kls = [kl_divergence(empirical_distribution(
+        MeasurementMultiset.from_outcomes(5, sample_many(params, 8192, rng))), model)
+        for _ in range(200)]
+    assert abs(np.mean(kls) / kl_sampling_floor(32, 8192) - 1) < 0.1
