@@ -35,7 +35,6 @@ from .smoothing import (
     double_flip,
     double_flip_each,
     hamming_smooth,
-    hamming_vector_candidates,
     permutation_configurations,
     permutation_smooth,
 )

@@ -293,7 +293,7 @@ def cmd_reduction_check(args) -> int:
         raise ValueError("--n must be >= 1")
     out = _out_dir(args)
     rows = []
-    s = BitVec(args.n, 0b11) if args.n >= 2 else BitVec(1, 1)
+    s = SimonFunction.default(args.n).s if args.n >= 2 else BitVec(1, 1)
     params = LsnParams(args.n, args.tau, s)
     if args.n <= 4:
         zs = [z for z in (BitVec(args.n, zv) for zv in range(1 << args.n)) if z.inner(s) == 1]

@@ -77,8 +77,6 @@ class BitVec:
             raise DimensionError(f"length mismatch: {self.n} vs {other.n}")
         return BitVec(self.n, self.value ^ other.value)
 
-    __add__ = __xor__
-
     def __str__(self) -> str:
         return format(self.value, f"0{self.n}b") if self.n else ""
 

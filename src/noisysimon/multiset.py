@@ -90,18 +90,13 @@ class MeasurementMultiset:
             merged[o] = merged.get(o, 0) + c
         return MeasurementMultiset(self.n, merged)
 
-    def map_outcomes(self, fn) -> "MeasurementMultiset":
-        """Apply an outcome -> outcome map, merging counts that collide."""
-        mapped: Dict[int, int] = {}
-        for o, c in self.counts.items():
-            m = fn(o)
-            mapped[m] = mapped.get(m, 0) + c
-        return MeasurementMultiset(self.n, mapped)
+    def shifted(self, v: int) -> "MeasurementMultiset":
+        """The multiset {q ^ v : q in self}, in the same key order; an
+        outcome moved out of [0, 2^n) raises ValueError."""
+        return MeasurementMultiset(self.n, {o ^ v: c for o, c in self.counts.items()})
 
     def outcomes_array(self) -> np.ndarray:
         """Expand to one entry per counted shot, outcomes ascending."""
-        if not self.counts:
-            return np.zeros(0, dtype=np.int64)
         keys = np.array(sorted(self.counts), dtype=np.int64)
         reps = np.array([self.counts[int(k)] for k in keys], dtype=np.int64)
         return np.repeat(keys, reps)

@@ -5,12 +5,15 @@ Three techniques:
 * Permutation: spread the shots over many minimum-norm configurations so
   per-qubit quality differences average out; the circuit norm (and hence the
   error rate) is preserved.
-* Double-Flip: rerun with an X appended to every measured wire, complement
-  the outcomes classically, and pool with the plain run; inverts the
+* Double-Flip: rerun with an X appended to every measured wire, shift the
+  outcomes by the all-ones vector, and pool with the plain run; inverts the
   ground-state readout bias at the price of n extra gates.
-* Hamming: purely classical - pool the multiset with its translate by a
-  high-weight vector v; orthogonality (hence the error-rate estimate) is
-  preserved exactly whenever v is orthogonal to the period.
+* Hamming: purely classical - pool the multiset with its shift by the
+  highest-weight v orthogonal to the period, which preserves orthogonality
+  (hence the error-rate estimate) exactly.
+
+Both classical moves are `MeasurementMultiset.shifted`, the translate
+{q ^ v} of a multiset.
 """
 
 from __future__ import annotations
@@ -32,25 +35,18 @@ from .transpile import (
 )
 
 
-def hamming_vector_candidates(n: int) -> List[BitVec]:
-    """The n+1 vectors of weight at least n-1: all-ones plus its single-bit drops."""
-    ones = (1 << n) - 1
-    return [BitVec(n, ones)] + [BitVec(n, ones ^ (1 << j)) for j in range(n)]
-
-
 def choose_hamming_vector(s: BitVec) -> BitVec:
-    """The first of `hamming_vector_candidates(s.n)` orthogonal to s, so the
-    one of highest weight: all-ones if s has even weight, otherwise all-ones
-    without the lowest set bit of s."""
-    return next(v for v in hamming_vector_candidates(s.n) if v.inner(s) == 0)
+    """The highest-weight vector orthogonal to s: all-ones if s has even
+    weight, otherwise all-ones without the lowest set bit of s."""
+    ones = (1 << s.n) - 1
+    return BitVec(s.n, ones ^ (s.value & -s.value) if s.value.bit_count() & 1 else ones)
 
 
 def hamming_smooth(m: MeasurementMultiset, v: BitVec) -> MeasurementMultiset:
-    """Pool m with {q + v : q in m}; the total exactly doubles."""
+    """Pool m with {q ^ v : q in m}; the total exactly doubles."""
     if v.n != m.n:
         raise ValueError(f"shift length {v.n} != outcome length {m.n}")
-    shifted = m.map_outcomes(lambda o: o ^ v.value)
-    return m.merge(shifted)
+    return m.merge(m.shifted(v.value))
 
 
 def double_flip(
@@ -74,7 +70,7 @@ def double_flip_each(circuits: Sequence[Circuit], noise: NoiseParams, shots: int
     for c, seed in zip(circuits, seeds):
         jobs += [(c, seed), (append_measurement_flips(c), seed + 1)]
     runs = iter(sample_noisy_batch(jobs, noise, shots))  # plain, flipped, plain, ...
-    return [plain.merge(refl.map_outcomes(lambda o, ones=(1 << len(c.measured)) - 1: o ^ ones))
+    return [plain.merge(refl.shifted((1 << len(c.measured)) - 1))
             for c, plain, refl in zip(circuits, runs, runs)]
 
 

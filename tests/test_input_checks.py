@@ -90,6 +90,8 @@ bare = Circuit(2, (), (0, 1))
      "n=25 exceeds the 24-bit dense distribution limit"),
     (lambda: hamming_smooth(MeasurementMultiset(3, {1: 1}), BitVec(2, 1)), ValueError,
      "shift length 2 != outcome length 3"),
+    (lambda: MeasurementMultiset(3, {1: 2}).shifted(8), ValueError,
+     "outcome 9 out of range for n=3"),
     (lambda: estimate_tau(MeasurementMultiset(3, {1: 1}), BitVec(5, 3)), DimensionError,
      "period length 5 != outcome length 3"),
     (lambda: model_distribution(LsnParams(3, 0.1, BitVec(3, 3)), 1.5), ValueError,

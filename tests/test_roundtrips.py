@@ -35,6 +35,22 @@ def test_multiset_csv_round_trip(tmp_path_factory, m, header):
     assert MeasurementMultiset.from_csv(path) == m
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.dictionaries(st.integers(0, (1 << n) - 1), st.integers(0, 10**9), max_size=40),
+    st.integers(0, (1 << n) - 1))))
+def test_shifted_is_the_translate_and_its_own_inverse(case):
+    n, counts, v = case
+    m = MeasurementMultiset(n, counts)
+    out = m.shifted(v)
+    assert out.n == n
+    assert list(out.counts.items()) == [(q ^ v, c) for q, c in counts.items()]
+    assert m.shifted(0).counts == counts
+    back = out.shifted(v)
+    assert back == m and list(back.counts) == list(counts)
+
+
 @pytest.mark.parametrize("read, columns", [
     (MeasurementMultiset.from_csv, "outcome,count"),
     (lpn_samples_from_csv, "a,b"),

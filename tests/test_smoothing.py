@@ -11,7 +11,6 @@ from noisysimon.smoothing import (
     choose_hamming_vector,
     double_flip,
     hamming_smooth,
-    hamming_vector_candidates,
     permutation_configurations,
     permutation_smooth,
 )
@@ -21,19 +20,23 @@ from noisysimon.transpile import (Configuration, circuit_norm, compile_simon_cir
                                   search_min_configuration)
 
 
-def test_hamming_candidates_examples():
-    assert {str(v) for v in hamming_vector_candidates(3)} == {"111", "011", "101", "110"}
-    assert {str(v) for v in hamming_vector_candidates(1)} == {"1", "0"}
-    assert len(hamming_vector_candidates(6)) == 7
+def hamming_vector_candidates(n: int) -> list[BitVec]:
+    """The n+1 vectors of weight at least n-1, highest weight first:
+    all-ones, then all-ones without bit j for j = 0..n-1."""
+    ones = (1 << n) - 1
+    return [BitVec(n, ones)] + [BitVec(n, ones ^ (1 << j)) for j in range(n)]
 
 
 def test_some_candidate_is_orthogonal_for_every_period():
-    for n in range(1, 11):
+    """The closed form is the first orthogonal candidate, so the one of highest weight."""
+    for n in range(1, 13):
+        candidates = hamming_vector_candidates(n)
         for sv in range(1, 1 << n):
             s = BitVec(n, sv)
-            assert any(v.inner(s) == 0 for v in hamming_vector_candidates(n))
+            assert any(v.inner(s) == 0 for v in candidates)
             v = choose_hamming_vector(s)
             assert v.inner(s) == 0 and v.value.bit_count() >= n - 1
+            assert v == next(c for c in candidates if c.inner(s) == 0)
 
 
 def test_hamming_smooth_examples():
@@ -174,7 +177,7 @@ def test_flipped_run_inverts_the_bias(graph, noise, compiled):
     noiseless_weight = sum(bin(o).count("1") * p for o, p in enumerate(dist))
     flipped = append_measurement_flips(circ)
     m = sample_noisy(flipped, noise, 8192, seed=31)
-    recomplemented = m.map_outcomes(lambda o: o ^ ((1 << f.n) - 1))
+    recomplemented = m.shifted((1 << f.n) - 1)
     weight = sum(bin(o).count("1") * c for o, c in recomplemented.counts.items()) / m.total
     assert weight > noiseless_weight
 
